@@ -7,10 +7,12 @@ s-free polynomial sequence that approximates log_b; the helpers below expose
 that sequence together with the remainder quantities controlling its
 convergence.
 
-The alternating sums lose roughly one bit per degree to cancellation, so all
-coefficients are carried exactly (integers over rational bases) and rounding
-happens only at evaluation time, at a working precision that grows with the
-degree.
+The log approximation's monomial coefficients alternate in sign and reach
+about 2**n, so they are carried exactly (Fractions over rational bases).
+Bigfloat evaluation runs Horner's rule in fixed point on Python integers,
+where those large terms cancel exactly and only the per-step truncations add
+up: the working precision grows with log2(n), and with n*log2|x| for
+|x| > 1, but not with the degree itself.
 """
 
 from __future__ import annotations
@@ -166,12 +168,17 @@ def log_poly(b, n: int) -> LogApproxPoly:
 
 
 def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
-    """Horner evaluation at precision covering the alternating-sum blowup.
+    """Horner evaluation; bigfloat mode runs it in fixed point on integers.
 
-    The term magnitudes are bounded by (1+|x|)**n, so bigfloat mode works at
-    ceil(n*log2(1+|x|)) + guard bits (at least the configured bits); inside
-    the unit interval this is the degree plus the guard. Exact mode needs a
-    rational x and returns a Fraction.
+    Exact mode needs a rational x and returns a Fraction; machine mode is
+    plain float Horner. Bigfloat mode keeps x exact as p/q, rounds each
+    coefficient once down to an integer multiple of 2**-F, and runs
+    ``acc = acc*p // q + C_k`` on integers: the alternating terms of size up
+    to 2**n cancel exactly, and only the n+1 coefficient roundings and n
+    floor divisions (each below 2**-F) add up, amplified by at most
+    max(1, |x|)**n. With F = bits + guard_bits + ceil(n*log2|x|)_+ +
+    bit_length(n+1) the error is below 2**(1 - bits - guard_bits) before
+    the result is rounded to an mpf of F bits, whatever n and x are.
     """
     if cfg.exact:
         xq = as_fraction(x)
@@ -185,21 +192,19 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
         for c in reversed(pL.coeffs):
             acc = acc * xf + float(c)
         return acc
-    # term growth is (1+|x|)**n, i.e. at most n bits inside the unit interval
-    growth = max(1.0, math.log2(1.0 + abs(float(x))))
-    needed = int(math.ceil(pL.n * growth)) + cfg.guard_bits
-    with mp.workprec(max(cfg.bits, needed)):
-        xm = _to_mpf(x)
-        acc = mpmath.mpf(0)
-        for c in reversed(pL.coeffs):
-            acc = acc * xm + _to_mpf(c)
-        return acc
-
-
-def _to_mpf(v):
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / v.denominator
-    return mpmath.mpf(v)
+    xq = as_fraction(x)
+    p, q = xq.numerator, xq.denominator
+    # log2|x| from the exact integers: float(x) overflows for huge x
+    growth = math.log2(abs(p)) - math.log2(q) if p else 0.0
+    frac_bits = (
+        cfg.bits + cfg.guard_bits + max(0, math.ceil(pL.n * growth)) + (pL.n + 1).bit_length()
+    )
+    acc = 0
+    for c in reversed(pL.coeffs):
+        if not isinstance(c, Fraction):  # float or mpf coefficients
+            c = as_fraction(c)
+        acc = acc * p // q + (c.numerator << frac_bits) // c.denominator
+    return mpmath.mpf((acc, -frac_bits), prec=frac_bits)
 
 
 def reference_log(b, x, bits: int = 256):

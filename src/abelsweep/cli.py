@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with "-<digit>", so such a token is always a value:
+        # negative p/q literals (-1/2), brackets (-0.95:0.95) and lists (-1/2,1)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # argparse would exit(2); config errors are exit 1 here
         raise UsageError(message)
 
@@ -264,7 +271,8 @@ def _cmd_invariance(args) -> str:
 
 def _cmd_iterate(args) -> str:
     cfg = args.precision
-    p = AffineParams(cfg.scalar(args.b), cfg.scalar(args.s))
+    # exact b and s: log_poly must see the rational base, not its rounding
+    p = AffineParams(args.b, args.s)
     if args.n is None:
         ctx = exact_log_context(p.b, p.s, cfg, bracket=args.bracket, tol=args.tol)
     else:

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from .affine import AffineParams, eval_log_poly, log_poly
 from .errors import BracketError, DomainError
-from .scalars import PrecisionConfig, Scalar
+from .scalars import PrecisionConfig, Scalar, sign, to_mpf
 
 _MAX_BISECTIONS = 4096
 
@@ -61,7 +61,7 @@ def exact_log_context(
     else:
         def abel(z):
             with cfg.workprec():
-                return (mpmath.log(_mpf(z)) - mpmath.log(_mpf(p.s))) / mpmath.log(_mpf(p.b))
+                return (mpmath.log(to_mpf(z)) - mpmath.log(to_mpf(p.s))) / mpmath.log(to_mpf(p.b))
 
     return IterationContext(
         abel,
@@ -77,8 +77,10 @@ def poly_abel_context(
 ) -> IterationContext:
     """Context for g(x) = b*(x+s) - s using the degree-n Abel polynomial.
 
-    The evaluator is the s-free approximant applied to z/s + 1; it reuses the
-    degree-scaled working-precision policy of eval_log_poly.
+    The evaluator is the s-free approximant applied to z/s + 1, evaluated by
+    eval_log_poly's fixed-point Horner: its error stays below
+    2**(1 - bits - guard_bits) at every degree, and the working precision
+    exceeds bits + guard_bits + log2(n+1) only where |z/s + 1| > 1.
     """
     poly = log_poly(p.b, n)
     s = p.s
@@ -95,18 +97,6 @@ def poly_abel_context(
     )
 
 
-def _mpf(v):
-    from fractions import Fraction
-
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / v.denominator
-    return mpmath.mpf(v)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
     """f^[t](z) = abel^{-1}(t + abel(z)), bisected to the context tolerance."""
     target = ctx.abel(z) + t
@@ -118,7 +108,7 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
             return lo
         if fhi == 0:
             return hi
-        if _sign(flo) == _sign(fhi):
+        if sign(flo) == sign(fhi):
             raise BracketError(lo, hi, target)
         for _ in range(_MAX_BISECTIONS):
             mid = (lo + hi) / 2
@@ -127,7 +117,7 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
             fmid = ctx.abel(mid) - target
             if abs(fmid) <= ctx.tol:
                 return mid
-            if _sign(fmid) == _sign(flo):
+            if sign(fmid) == sign(flo):
                 lo, flo = mid, fmid
             else:
                 hi, fhi = mid, fmid

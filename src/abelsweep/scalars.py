@@ -117,6 +117,18 @@ def as_fraction(x) -> Fraction:
     raise ValueError(f"cannot convert {type(x).__name__} to Fraction")
 
 
+def to_mpf(x) -> mpmath.mpf:
+    """x as an mpf rounded once at the ambient precision (Fractions divide in mpf)."""
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
+def sign(x) -> int:
+    """-1, 0 or 1 by comparison with 0, in any real scalar type."""
+    return (x > 0) - (x < 0)
+
+
 def is_finite(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return True

@@ -19,7 +19,7 @@ import mpmath
 from .carleman import AbelSystem, abel_system
 from .errors import SingularSystemError
 from .powerseries import TruncatedSeries, pad, series_compose
-from .scalars import PrecisionConfig, Scalar, format_scalar
+from .scalars import PrecisionConfig, Scalar, format_scalar, sign
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +204,6 @@ class SweepReport:
         return {"Ns": list(self.Ns), "coefficients": coefficients, "config": cfg}
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def classify_trajectory(values: Sequence, stab: StabilizationConfig) -> Verdict:
     """Apply the stabilization rules to one coefficient's value sequence."""
     w = stab.window
@@ -223,7 +219,7 @@ def classify_trajectory(values: Sequence, stab: StabilizationConfig) -> Verdict:
     if all(abs(d) <= tol for d in deltas):
         return Verdict("stabilized", limit=v, last_delta=abs(deltas[-1]))
     alternating = all(
-        _sign(deltas[i]) != 0 and _sign(deltas[i + 1]) == -_sign(deltas[i])
+        sign(deltas[i]) != 0 and sign(deltas[i + 1]) == -sign(deltas[i])
         for i in range(w - 1)
     )
     growing = all(abs(deltas[i + 1]) >= abs(deltas[i]) for i in range(w - 1))

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelsweep import (
     AffineParams,
+    LogApproxPoly,
     PrecisionConfig,
     RootOfUnityError,
     ZeroShiftError,
@@ -24,7 +26,7 @@ from abelsweep import (
     s_invariance_gap,
     solve_truncated,
 )
-from abelsweep.scalars import gen_binomial
+from abelsweep.scalars import as_fraction, gen_binomial
 
 from conftest import small_rationals
 
@@ -140,13 +142,43 @@ class TestLogPoly:
             log_poly(F(-1), 2)
 
     def test_bigfloat_matches_exact(self):
-        from abelsweep.scalars import as_fraction
-
         poly = log_poly(F(1, 2), 40)
         x = F(3, 10)
         exact_val = eval_log_poly(poly, x, EXACT)
         big_val = as_fraction(eval_log_poly(poly, x, BIG))
         assert abs(big_val - exact_val) < F(1, 10**30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(
+            lambda b: b not in (0, 1, -1)
+        ),
+        st.integers(1, 150),
+        st.fractions(min_value=-2, max_value=3, max_denominator=64),
+    )
+    def test_bigfloat_precision_contract(self, b, n, x):
+        # the configured bits hold whatever the degree, the sign of b or |x|
+        poly = log_poly(b, n)
+        exact_val = eval_log_poly(poly, x, EXACT)
+        big_val = as_fraction(eval_log_poly(poly, x, BIG))
+        assert abs(big_val - exact_val) <= F(1, 2**BIG.bits) * max(1, abs(exact_val))
+
+    def test_bigfloat_huge_point(self):
+        # the point's size is read from its integers; float(x) would overflow
+        poly = log_poly(F(1, 2), 5)
+        x = F(10**400, 3)
+        exact_val = eval_log_poly(poly, x, EXACT)
+        big_val = as_fraction(eval_log_poly(poly, x, BIG))
+        assert abs(big_val - exact_val) <= F(1, 2**BIG.bits) * abs(exact_val)
+
+    def test_bigfloat_accepts_mpf_coefficients(self):
+        exact_poly = log_poly(F(1, 3), 300)
+        with mpmath.mp.workprec(300 + 256):
+            rounded = tuple(mpmath.mpf(c.numerator) / c.denominator for c in exact_poly.coeffs)
+        poly = LogApproxPoly(exact_poly.n, exact_poly.b, rounded)
+        x = F(7, 10)
+        want = eval_log_poly(exact_poly, x, EXACT)
+        assert abs(as_fraction(eval_log_poly(poly, x, BIG)) - want) <= F(1, 2**BIG.bits)
 
     def test_convergence_to_log(self):
         # mid-scale spot check of the limit statement

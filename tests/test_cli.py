@@ -164,6 +164,18 @@ class TestReports:
         assert (t, z) == ("1", "3")
         assert abs(float(v) - 6) < 1e-6
 
+    def test_iterate_polynomial_readme_example(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "iterate", "--b", "1/2", "--s", "1", "--n", "200",
+            "--bracket", "-0.95:0.95", "--t", "1", "--z", "0.3",
+        )
+        assert code == 0
+        t, z, v = out.strip().split("\n")[1].split(",")
+        assert (t, z) == ("1", "3/10")
+        # closed form b**t * (z + s) - s
+        assert abs(float(v) - (-0.35)) < 1e-3
+
     def test_iterate_polynomial_requires_bracket(self, capsys):
         code, _, err = run(
             capsys,
@@ -171,6 +183,28 @@ class TestReports:
         )
         assert code == 1
         assert "bracket" in err
+
+
+class TestNegativeLiterals:
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (("explore-exp", "--N-max", "8", "--s", "-1/2"), "--s"),
+            (("sweep", "--b", "2", "--s", "-1/2", "--Ns", "1:8", "--precision", "exact"), "--s"),
+            (
+                ("iterate", "--b", "1/2", "--s", "1", "--n", "200",
+                 "--bracket", "-0.95:0.95", "--t", "1", "--z", "0.3"),
+                "--bracket",
+            ),
+        ],
+    )
+    def test_separate_value_reads_like_attached_one(self, capsys, argv, option):
+        i = argv.index(option)
+        attached = argv[:i] + (f"{option}={argv[i + 1]}",) + argv[i + 2:]
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *attached)
+        assert code1 == code2 == 0
+        assert out1 == out2
 
 
 class TestExploratory:
