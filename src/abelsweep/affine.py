@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -138,18 +138,28 @@ class LogApproxPoly:
 
     Its value at 1 is exactly 0 (every building block vanishes there), and at
     b it is exactly 1.
+
+    ``_fixed`` memoizes the coefficients rounded for bigfloat evaluation:
+    (G, (floor(c_0*2**G), ..., floor(c_n*2**G))) for the largest fraction-bit
+    count G requested so far. Since floor(floor(c*2**G) / 2**(G-F)) equals
+    floor(c*2**F), any F <= G reads its coefficients as shifts of these. It
+    takes no part in comparison, hashing or repr, and is replaced as one
+    tuple, so concurrent evaluations at worst round twice.
     """
 
     n: int
     b: Scalar
     coeffs: tuple  # c_0..c_n
+    _fixed: tuple = field(default=(-1, ()), init=False, compare=False, hash=False, repr=False)
 
 
 def log_poly(b, n: int) -> LogApproxPoly:
     """Coefficients of sum_k C(n,k) (-1)^(k+1) (1 - x**k) / (1 - b**k).
 
     Exact (Fraction) when b is rational; the constant term collects all the
-    k-terms and the x**k coefficient is the negated k-term.
+    k-terms and the x**k coefficient is the negated k-term. The constant term
+    is summed pairwise: the exact denominators grow with every term, and a
+    balanced sum keeps the operands of most additions small.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -160,10 +170,11 @@ def log_poly(b, n: int) -> LogApproxPoly:
         c = binomial(n, k)
         w = (c if k % 2 == 1 else -c) / (1 - b**k)
         weights.append(w)
-    c0 = weights[0]
-    for w in weights[1:]:
-        c0 = c0 + w
-    coeffs = (c0,) + tuple(-w for w in weights)
+    terms = weights
+    while len(terms) > 1:
+        pairs = [u + v for u, v in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[2 * len(pairs):]
+    coeffs = (terms[0],) + tuple(-w for w in weights)
     return LogApproxPoly(n, b, coeffs)
 
 
@@ -179,6 +190,10 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
     max(1, |x|)**n. With F = bits + guard_bits + ceil(n*log2|x|)_+ +
     bit_length(n+1) the error is below 2**(1 - bits - guard_bits) before
     the result is rounded to an mpf of F bits, whatever n and x are.
+
+    The rounded coefficients are memoized on the polynomial at the largest F
+    requested so far, G; a call at F <= G reads them as C_k >> (G - F),
+    which is floor(c_k*2**F) exactly, so the memo never changes a result.
     """
     if cfg.exact:
         xq = as_fraction(x)
@@ -199,11 +214,16 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
     frac_bits = (
         cfg.bits + cfg.guard_bits + max(0, math.ceil(pL.n * growth)) + (pL.n + 1).bit_length()
     )
+    fixed_bits, fixed = pL._fixed
+    if fixed_bits < frac_bits:
+        fixed_bits, fixed = frac_bits, tuple(
+            (c.numerator << frac_bits) // c.denominator for c in map(as_fraction, pL.coeffs)
+        )
+        object.__setattr__(pL, "_fixed", (fixed_bits, fixed))
+    shift = fixed_bits - frac_bits
     acc = 0
-    for c in reversed(pL.coeffs):
-        if not isinstance(c, Fraction):  # float or mpf coefficients
-            c = as_fraction(c)
-        acc = acc * p // q + (c.numerator << frac_bits) // c.denominator
+    for c in reversed(fixed):
+        acc = acc * p // q + (c >> shift)
     return mpmath.mpf((acc, -frac_bits), prec=frac_bits)
 
 

@@ -271,6 +271,8 @@ def _cmd_invariance(args) -> str:
 
 def _cmd_iterate(args) -> str:
     cfg = args.precision
+    if cfg.exact:
+        raise UsageError("iterate finds roots to --tol; use --precision bits:<n> or machine")
     # exact b and s: log_poly must see the rational base, not its rounding
     p = AffineParams(args.b, args.s)
     if args.n is None:

@@ -1,9 +1,12 @@
 """Fractional iteration f^[t](z) through an Abel-function evaluator.
 
 Given any evaluator of an Abel function, the t-th iterate is the inverse
-image of t + abel(z). Inversion is plain bisection on a user-supplied
-monotone bracket; robustness matters more than speed at the sizes this
-package targets, and bisection needs nothing beyond sign changes.
+image of t + abel(z). Inversion runs Illinois steps (Dowell & Jarratt, BIT 11
+(1971) 168-174) on a user-supplied monotone bracket: secant points of the
+current bracket, with the function value at an end kept twice in a row
+halved. Like bisection it needs only function values and keeps the root
+bracketed, but it converges superlinearly, so each iterate costs a dozen or
+so Abel evaluations instead of one per bit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .affine import AffineParams, eval_log_poly, log_poly
 from .errors import BracketError, DomainError
 from .scalars import PrecisionConfig, Scalar, sign, to_mpf
 
-_MAX_BISECTIONS = 4096
+_MAX_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -48,18 +51,34 @@ class IterationContext:
 def exact_log_context(
     b, s, cfg: PrecisionConfig | None = None, bracket=None, tol: float = 1e-12
 ) -> IterationContext:
-    """Context for f(x) = b*x using the closed-form Abel function log_b(x) - log_b(s)."""
+    """Context for f(x) = b*x using the closed-form Abel function log_b(x) - log_b(s).
+
+    The logarithm is real only for b > 0, s > 0 and z > 0: other bases and
+    shifts raise DomainError here, other points when abel is called. An
+    exact config raises ValueError, since the logarithm has no exact value.
+    """
     cfg = cfg or PrecisionConfig()
+    if cfg.exact:
+        raise ValueError("the log Abel function has no exact mode; use bigfloat or machine")
     p = AffineParams(b, s)
     p.ensure_order(1)
+    if not p.b > 0 or not p.s > 0:
+        raise DomainError(f"the log Abel function needs b > 0 and s > 0, got b={p.b}, s={p.s}")
+
+    def check(z):
+        if not z > 0:
+            raise DomainError(f"the log Abel function needs z > 0, got z={z}")
+
     if cfg.mode == "machine":
         lb = math.log(float(p.b))
 
         def abel(z):
+            check(z)
             return math.log(float(z)) / lb - math.log(float(p.s)) / lb
 
     else:
         def abel(z):
+            check(z)
             with cfg.workprec():
                 return (mpmath.log(to_mpf(z)) - mpmath.log(to_mpf(p.s))) / mpmath.log(to_mpf(p.b))
 
@@ -98,7 +117,15 @@ def poly_abel_context(
 
 
 def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
-    """f^[t](z) = abel^{-1}(t + abel(z)), bisected to the context tolerance."""
+    """f^[t](z) = abel^{-1}(t + abel(z)), found by Illinois steps to the context tolerance.
+
+    Each step evaluates abel at the secant point of the current bracket and
+    keeps the end whose residual has the other sign; when the same end is
+    kept twice in a row its residual is halved, which stops regula falsi
+    from stalling at one end. The secant weight is rounded to a float, so a
+    float (or int, or Fraction) bracket gives float points and an mpf
+    bracket mpf points.
+    """
     target = ctx.abel(z) + t
     with ctx.cfg.workprec():
         lo, hi = ctx.bracket
@@ -110,8 +137,9 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
             return hi
         if sign(flo) == sign(fhi):
             raise BracketError(lo, hi, target)
-        for _ in range(_MAX_BISECTIONS):
-            mid = (lo + hi) / 2
+        kept = 0  # -1: lo was kept by the last step, 1: hi was
+        for _ in range(_MAX_STEPS):
+            mid = lo + (hi - lo) * float(flo / (flo - fhi))
             if not lo < mid < hi:  # resolution exhausted
                 break
             fmid = ctx.abel(mid) - target
@@ -119,10 +147,16 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
                 return mid
             if sign(fmid) == sign(flo):
                 lo, flo = mid, fmid
+                if kept == 1:
+                    fhi = fhi / 2
+                kept = 1
             else:
                 hi, fhi = mid, fmid
+                if kept == -1:
+                    flo = flo / 2
+                kept = -1
     raise DomainError(
-        f"bisection exhausted on [{ctx.bracket[0]}, {ctx.bracket[1]}] "
+        f"root search exhausted on [{ctx.bracket[0]}, {ctx.bracket[1]}] "
         f"with residual above {ctx.tol}"
     )
 

@@ -140,14 +140,10 @@ def is_finite(x) -> bool:
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) for integer n >= 0 by the multiplicative recurrence, exact."""
+    """C(n, k) for integers, exact; 0 outside 0 <= k <= n."""
     if k < 0 or k > n:
         return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+    return math.comb(n, k)
 
 
 def gen_binomial(x, k: int):

@@ -163,6 +163,31 @@ class TestLogPoly:
         big_val = as_fraction(eval_log_poly(poly, x, BIG))
         assert abs(big_val - exact_val) <= F(1, 2**BIG.bits) * max(1, abs(exact_val))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(
+            lambda b: b not in (0, 1, -1)
+        ),
+        st.integers(1, 150),
+        st.lists(
+            st.fractions(min_value=-2, max_value=3, max_denominator=64), min_size=2, max_size=8
+        ),
+    )
+    def test_bigfloat_rounding_memo_is_invisible(self, b, n, xs):
+        # |x| > 1 raises the fraction bits and |x| <= 1 lowers them, so the
+        # memo is both refilled and read by shifts along the sequence
+        poly = log_poly(b, n)
+        key = (poly == log_poly(b, n), hash(poly))
+        for x in xs:
+            fresh = eval_log_poly(log_poly(b, n), x, BIG)
+            assert eval_log_poly(poly, x, BIG)._mpf_ == fresh._mpf_
+        assert (poly == log_poly(b, n), hash(poly)) == key
+
+    def test_rounding_memo_not_in_repr(self):
+        poly = log_poly(F(1, 2), 3)
+        eval_log_poly(poly, F(1, 3), BIG)
+        assert repr(poly) == repr(log_poly(F(1, 2), 3))
+
     def test_bigfloat_huge_point(self):
         # the point's size is read from its integers; float(x) would overflow
         poly = log_poly(F(1, 2), 5)

@@ -176,6 +176,30 @@ class TestReports:
         # closed form b**t * (z + s) - s
         assert abs(float(v) - (-0.35)) < 1e-3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--b", "-2", "--s", "1", "--t", "1", "--z", "3"),
+            ("--b", "2", "--s", "-1", "--t", "1", "--z", "3"),
+            ("--b", "2", "--s", "1", "--t", "1", "--z", "-1"),
+            ("--b", "2", "--s", "1", "--t", "1", "--z", "-1", "--precision", "machine"),
+        ],
+    )
+    def test_iterate_complex_log_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "iterate", *argv)
+        assert code == 2 and not out
+        assert len(err.strip().split("\n")) == 1
+        assert err.startswith("domain error:") and "Traceback" not in err
+
+    def test_iterate_exact_precision_refused(self, capsys):
+        code, out, err = run(
+            capsys,
+            "iterate", "--b", "2", "--s", "1", "--t", "1/2", "--z", "1", "--precision", "exact",
+        )
+        assert code == 1 and not out
+        assert len(err.strip().split("\n")) == 1
+        assert err.startswith("usage error:")
+
     def test_iterate_polynomial_requires_bracket(self, capsys):
         code, _, err = run(
             capsys,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from abelsweep import (
     AffineParams,
     BracketError,
+    DomainError,
     IterationContext,
     PrecisionConfig,
     exact_log_context,
@@ -15,6 +17,18 @@ from abelsweep import (
 )
 
 BIG = PrecisionConfig("bigfloat", bits=128, guard_bits=64)
+MACHINE = PrecisionConfig("machine")
+
+
+def counting(ctx):
+    """ctx with its Abel evaluator wrapped by a call counter (a one-item list)."""
+    calls = [0]
+
+    def abel(z):
+        calls[0] += 1
+        return ctx.abel(z)
+
+    return dataclasses.replace(ctx, abel=abel), calls
 
 
 @pytest.fixture
@@ -25,7 +39,10 @@ def doubling():
 
 class TestExactLogContext:
     def test_one_step_is_the_map(self, doubling):
-        assert abs(fractional_iterate(doubling, 1, 3) - 6) < 1e-9
+        # the evaluation count guards the root search; bisection made 140
+        ctx, calls = counting(doubling)
+        assert abs(fractional_iterate(ctx, 1, 3) - 6) < 1e-9
+        assert calls[0] <= 48
 
     def test_half_step_is_sqrt_factor(self, doubling):
         got = fractional_iterate(doubling, F(1, 2), 1)
@@ -48,6 +65,24 @@ class TestExactLogContext:
     def test_zero_zero_semigroup(self, doubling):
         assert semigroup_check(doubling, 0, 0, [2.0]) < 1e-12
 
+    def test_exact_config_rejected(self):
+        # the logarithm has no exact value; mpmath would silently use 53 bits
+        with pytest.raises(ValueError):
+            exact_log_context(F(2), F(1), PrecisionConfig("exact"))
+
+    @pytest.mark.parametrize("cfg", [BIG, MACHINE], ids=["bigfloat", "machine"])
+    @pytest.mark.parametrize("b,s", [(F(-2), F(1)), (F(2), F(-1)), (F(1, 2), F(-3))])
+    def test_nonpositive_base_or_shift_rejected(self, cfg, b, s):
+        with pytest.raises(DomainError):
+            exact_log_context(b, s, cfg)
+
+    @pytest.mark.parametrize("cfg", [BIG, MACHINE], ids=["bigfloat", "machine"])
+    @pytest.mark.parametrize("z", [0, -1, F(-1, 3)])
+    def test_nonpositive_point_rejected(self, cfg, z):
+        ctx = exact_log_context(F(2), F(1), cfg)
+        with pytest.raises(DomainError):
+            fractional_iterate(ctx, 1, cfg.scalar(z))
+
 
 @pytest.fixture(scope="module")
 def halving():
@@ -59,9 +94,13 @@ def halving():
 class TestPolynomialContext:
 
     def test_one_step_matches_direct_evaluation(self, halving):
-        got = fractional_iterate(halving, 1, 0.3)
+        # README's example; the evaluation count guards the root search,
+        # where bisection made 34
+        ctx, calls = counting(halving)
+        got = fractional_iterate(ctx, 1, 0.3)
         want = 0.5 * (0.3 + 1) - 1  # -0.35
         assert abs(got - want) < 1e-3
+        assert calls[0] <= 16
 
     def test_semigroup_deviation_small(self, halving):
         grid = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
@@ -72,6 +111,31 @@ class TestPolynomialContext:
             # far outside the invertible range of the polynomial
             fractional_iterate(halving, -40, 0.3)
         assert err.value.lo == -0.95 and err.value.hi == 0.95
+
+
+class TestIllinoisSteps:
+    @pytest.mark.parametrize("k", [9, 25])
+    def test_power_reaches_closed_form_root(self, k):
+        # abel(z) = z**k is flat near 0 and steep near 1, where plain regula
+        # falsi stalls at one end; bisection needs 43-45 evaluations here
+        ctx, calls = counting(IterationContext(abel=lambda z: z**k, bracket=(0, 1), tol=1e-12))
+        t, z = F(1, 4), F(1, 2)
+        got = fractional_iterate(ctx, t, z)
+        root = float(z**k + t) ** (1 / k)
+        assert abs(got - root) <= 1e-12
+        assert calls[0] <= 16
+
+    def test_no_sign_change_is_bracket_error(self):
+        ctx = IterationContext(abel=lambda z: z**9, bracket=(0, 1), tol=1e-12)
+        with pytest.raises(BracketError) as err:
+            fractional_iterate(ctx, 5, F(1, 2))
+        assert (err.value.lo, err.value.hi) == (0, 1)
+
+    def test_unreachable_tolerance_exhausts_resolution(self):
+        # a jump at 0.3: the bracket closes on it but no point gets within tol
+        ctx = IterationContext(abel=lambda z: -1 if z < 0.3 else 1, bracket=(0, 1), tol=1e-9)
+        with pytest.raises(DomainError, match="root search exhausted"):
+            fractional_iterate(ctx, 1, 0.1)
 
 
 class TestContextValidation:
