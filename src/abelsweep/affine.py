@@ -32,6 +32,7 @@ from .scalars import (
     Scalar,
     as_fraction,
     binomial,
+    check_log_domain,
     check_not_root_of_unity,
     gen_binomial,
 )
@@ -81,22 +82,22 @@ def affine_series(p: AffineParams, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # solution coefficients
 
-# keyed (b, m) -> {k: value}; fills are idempotent and values immutable, so
-# concurrent callers at worst recompute an entry
+# keyed (b, m) -> {k: value}, for Fraction b only: float and mpf values depend
+# on the mode and the working precision, which the key does not record. Fills
+# are idempotent and values immutable, so concurrent callers at worst
+# recompute an entry
 _REC_CACHE: dict = {}
 
 
 def _scaled_beta(b, n: int, m: int):
-    """s**m * beta^(n)_m, which is s-free; filled iteratively over n and memoized."""
-    cache = _REC_CACHE.setdefault((b, m), {})
+    """s**m * beta^(n)_m, which is s-free; filled iteratively over n, memoized for Fraction b."""
+    cache = _REC_CACHE.setdefault((b, m), {}) if isinstance(b, Fraction) else {}
     for k in range(m, n + 1):
         if k in cache:
             continue
         acc = (-1) ** m if k == m else 0
         for i in range(m, k):
             acc = acc + cache[i] * binomial(k, i) * (1 - b) ** (k - i) * b**i
-        if isinstance(acc, int):
-            acc = Fraction(acc)
         cache[k] = acc / (1 - b**k)
     return cache[n]
 
@@ -202,10 +203,10 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
             acc = acc * xq + c
         return acc
     if cfg.mode == "machine":
-        xf = float(x)
+        xf = cfg.scalar(x)
         acc = 0.0
         for c in reversed(pL.coeffs):
-            acc = acc * xf + float(c)
+            acc = acc * xf + cfg.scalar(c)
         return acc
     xq = as_fraction(x)
     p, q = xq.numerator, xq.denominator
@@ -228,12 +229,16 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
 
 
 def reference_log(b, x, bits: int = 256):
-    """log_b(x) from mpmath's logarithm, for use as an independent reference."""
-    bq, xq = as_fraction(b), as_fraction(x)
+    """log_b(x) from mpmath's logarithm, for use as an independent reference.
+
+    b and x are rounded to mpfs at ``bits``; DomainError unless b > 0,
+    b != 1 and x > 0 after that rounding.
+    """
+    cfg = PrecisionConfig("bigfloat", bits=bits)
+    bv, xv = cfg.scalar(b), cfg.scalar(x)
+    check_log_domain(bv, xv)
     with mp.workprec(bits):
-        num = mpmath.log(mpmath.mpf(xq.numerator) / xq.denominator)
-        den = mpmath.log(mpmath.mpf(bq.numerator) / bq.denominator)
-        return num / den
+        return mpmath.log(xv) / mpmath.log(bv)
 
 
 # ---------------------------------------------------------------------------

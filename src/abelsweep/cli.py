@@ -3,7 +3,8 @@
 One command per invocation; deterministic output (byte-identical for a fixed
 configuration and precision mode) to stdout or --out. Numeric parameters
 accept decimal or "p/q" literals. Exit codes: 0 success, 1 I/O or
-configuration errors, 2 domain errors (s=0, root of unity, singular system).
+configuration errors, 2 domain errors (s=0, root of unity, singular system,
+a real logarithm outside b > 0, b != 1, x > 0).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-
-from mpmath import mp
 
 from .affine import (
     AffineParams,
@@ -30,7 +29,7 @@ from .carleman import abel_system, bell_matrix
 from .errors import DomainError
 from .iterate import exact_log_context, fractional_iterate, poly_abel_context
 from .powerseries import exp_shift_series, from_json_dict
-from .scalars import PrecisionConfig, format_scalar, parse_rational
+from .scalars import PrecisionConfig, as_fraction, format_scalar
 from .solver import StabilizationConfig, intuitive_sweep, solve_truncated
 
 
@@ -64,8 +63,8 @@ def _precision(text: str) -> PrecisionConfig:
 
 def _rational(text: str) -> Fraction:
     try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return as_fraction(text)
+    except ValueError as exc:
         raise UsageError(f"bad numeric literal {text!r}") from exc
 
 
@@ -83,9 +82,12 @@ def _int_range(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+_MACHINE = PrecisionConfig("machine")
+
+
 def _bracket(text: str) -> tuple:
     lo, hi = text.split(":")
-    return (float(_rational(lo)), float(_rational(hi)))
+    return (_MACHINE.scalar(lo), _MACHINE.scalar(hi))
 
 
 def _load_series(path: str, cfg: PrecisionConfig):
@@ -118,6 +120,13 @@ def _csv(header: list[str], rows: list[list[str]]) -> str:
 
 def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+    """Rows of formatted cells as CSV, or as a JSON list of records keyed by the header."""
+    if fmt == "json":
+        return _json([dict(zip(header, row)) for row in rows])
+    return _csv(header, rows)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -210,39 +219,34 @@ def _cmd_affine(args) -> str:
     return _csv(header, rows)
 
 
-def _log_table(b: Fraction, degrees: list[int], xs: list[Fraction], cfg: PrecisionConfig) -> str:
+_LOG_HEADER = ["n", "x", "approx", "reference_log", "abs_error"]
+
+
+def _log_table(b: Fraction, degrees: list[int], xs: list[Fraction], cfg: PrecisionConfig) -> list:
+    """Rows of the log table; the error is the exact difference rounded once to the reference's bits."""
     ref_bits = max(degrees) + cfg.guard_bits + 64
+    ref_cfg = PrecisionConfig("bigfloat", bits=ref_bits)
     rows = []
     for n in degrees:
         poly = log_poly(b, n)
         for x in xs:
             approx = eval_log_poly(poly, x, cfg)
-            with mp.workprec(ref_bits):
-                ref = reference_log(b, x, bits=ref_bits)
-                err = abs(approx - ref)
-                rows.append(
-                    [
-                        str(n),
-                        format_scalar(x),
-                        format_scalar(approx, cfg.dps),
-                        format_scalar(ref, cfg.dps),
-                        format_scalar(err, cfg.dps),
-                    ]
-                )
-    return _csv(["n", "x", "approx", "reference_log", "abs_error"], rows)
+            ref = reference_log(b, x, bits=ref_bits)
+            err = ref_cfg.scalar(abs(as_fraction(approx) - as_fraction(ref)))
+            rows.append(
+                [
+                    str(n),
+                    format_scalar(x),
+                    format_scalar(approx, cfg.dps),
+                    format_scalar(ref, cfg.dps),
+                    format_scalar(err, cfg.dps),
+                ]
+            )
+    return rows
 
 
 def _cmd_logapprox(args) -> str:
-    table = _log_table(args.b, args.n, args.xs, args.precision)
-    if args.format == "json":
-        lines = [row.split(",") for row in table.strip().split("\n")[1:]]
-        return _json(
-            [
-                dict(zip(["n", "x", "approx", "reference_log", "abs_error"], row))
-                for row in lines
-            ]
-        )
-    return table
+    return _table(_LOG_HEADER, _log_table(args.b, args.n, args.xs, args.precision), args.format)
 
 
 def _cmd_invariance(args) -> str:
@@ -289,9 +293,7 @@ def _cmd_iterate(args) -> str:
             rows.append(
                 [format_scalar(t), format_scalar(z), format_scalar(w, cfg.dps)]
             )
-    if args.format == "json":
-        return _json([dict(zip(["t", "z", "value"], row)) for row in rows])
-    return _csv(["t", "z", "value"], rows)
+    return _table(["t", "z", "value"], rows, args.format)
 
 
 def _cmd_explore_exp(args) -> str:
@@ -310,7 +312,7 @@ def _cmd_explore_bgt1(args) -> str:
     if b <= 1:
         raise UsageError("explore-bgt1 expects a base b > 1")
     xs = args.xs or [b * (1 + Fraction(u, 10)) for u in range(-8, 9, 2)]
-    return _log_table(b, args.n, xs, args.precision)
+    return _table(_LOG_HEADER, _log_table(b, args.n, xs, args.precision), args.format)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import mpmath
-from mpmath import mp
 
 from .affine import AffineParams, eval_log_poly, log_poly
 from .errors import BracketError, DomainError
-from .scalars import PrecisionConfig, Scalar, sign, to_mpf
+from .scalars import PrecisionConfig, Scalar, check_log_domain, sign
 
 _MAX_STEPS = 4096
 
@@ -30,14 +29,12 @@ class IterationContext:
     """An Abel evaluator plus the inversion policy.
 
     ``bracket`` must straddle every preimage the caller will query; the
-    evaluator is assumed monotone on it. ``t_domain`` is a documentation
-    string describing where iterates are trusted.
+    evaluator is assumed monotone on it.
     """
 
     abel: Callable[[Scalar], Scalar]
     bracket: tuple
     tol: float = 1e-9
-    t_domain: str = ""
     cfg: PrecisionConfig = field(default_factory=PrecisionConfig)
 
     def __post_init__(self):
@@ -53,42 +50,29 @@ def exact_log_context(
 ) -> IterationContext:
     """Context for f(x) = b*x using the closed-form Abel function log_b(x) - log_b(s).
 
-    The logarithm is real only for b > 0, s > 0 and z > 0: other bases and
-    shifts raise DomainError here, other points when abel is called. An
-    exact config raises ValueError, since the logarithm has no exact value.
+    The logarithm is real only for b > 0, b != 1, s > 0 and z > 0, checked
+    on the values rounded to the config's scalars: other bases and shifts
+    raise DomainError here, other points when abel is called. An exact
+    config raises ValueError, since the logarithm has no exact value.
     """
     cfg = cfg or PrecisionConfig()
     if cfg.exact:
         raise ValueError("the log Abel function has no exact mode; use bigfloat or machine")
-    p = AffineParams(b, s)
-    p.ensure_order(1)
-    if not p.b > 0 or not p.s > 0:
-        raise DomainError(f"the log Abel function needs b > 0 and s > 0, got b={p.b}, s={p.s}")
+    bv, sv = cfg.scalar(b), cfg.scalar(s)
+    check_log_domain(bv, sv, "s")
+    log = math.log if cfg.mode == "machine" else mpmath.log
+    with cfg.workprec():
+        lb, ls = log(bv), log(sv)
 
-    def check(z):
-        if not z > 0:
-            raise DomainError(f"the log Abel function needs z > 0, got z={z}")
+    def abel(z):
+        zv = cfg.scalar(z)
+        check_log_domain(bv, zv, "z")
+        with cfg.workprec():
+            if cfg.mode == "machine":
+                return log(zv) / lb - ls / lb
+            return (log(zv) - ls) / lb
 
-    if cfg.mode == "machine":
-        lb = math.log(float(p.b))
-
-        def abel(z):
-            check(z)
-            return math.log(float(z)) / lb - math.log(float(p.s)) / lb
-
-    else:
-        def abel(z):
-            check(z)
-            with cfg.workprec():
-                return (mpmath.log(to_mpf(z)) - mpmath.log(to_mpf(p.s))) / mpmath.log(to_mpf(p.b))
-
-    return IterationContext(
-        abel,
-        bracket or (1e-30, 1e30),
-        tol,
-        t_domain="any real t with z > 0",
-        cfg=cfg,
-    )
+    return IterationContext(abel, bracket or (1e-30, 1e30), tol, cfg=cfg)
 
 
 def poly_abel_context(
@@ -107,13 +91,7 @@ def poly_abel_context(
     def abel(z):
         return eval_log_poly(poly, z / s + 1, cfg)
 
-    return IterationContext(
-        abel,
-        bracket,
-        tol,
-        t_domain="real t while the polynomial stays monotone on the bracket",
-        cfg=cfg,
-    )
+    return IterationContext(abel, bracket, tol, cfg=cfg)
 
 
 def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:

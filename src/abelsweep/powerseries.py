@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .scalars import PrecisionConfig, Scalar, format_scalar, is_finite, parse_rational
+from .scalars import PrecisionConfig, Scalar, format_scalar, is_finite
 
 
 @dataclass(frozen=True)
@@ -170,19 +170,14 @@ def exp_shift_series(s, order: int, cfg: PrecisionConfig) -> TruncatedSeries:
     Exact mode is only possible for s == 0 (coefficients 1/m!); any other s
     makes e**s irrational and raises.
     """
-    s_q = parse_rational(s)
+    sv = cfg.scalar(s)
     if cfg.exact:
-        if s_q != 0:
+        if sv != 0:
             raise ValueError("exact mode supports the exponential only at s=0")
         coeffs = tuple(Fraction(1, math.factorial(m)) for m in range(order + 1))
         return TruncatedSeries(coeffs, 0)
-    if cfg.mode == "machine":
-        es = math.exp(s_q.numerator / s_q.denominator)
-        coeffs = [es - float(s_q)]
-        coeffs += [es / math.factorial(m) for m in range(1, order + 1)]
-        return TruncatedSeries(tuple(coeffs), 0.0)
+    exp = math.exp if cfg.mode == "machine" else mpmath.exp
     with cfg.workprec():
-        es = mpmath.exp(mpmath.mpf(s_q.numerator) / s_q.denominator)
-        coeffs = [es - cfg.scalar(s_q)]
-        coeffs += [es / math.factorial(m) for m in range(1, order + 1)]
-        return TruncatedSeries(tuple(coeffs), cfg.scalar(0))
+        es = exp(sv)
+        coeffs = [es - sv] + [es / math.factorial(m) for m in range(1, order + 1)]
+    return TruncatedSeries(tuple(coeffs), cfg.scalar(0))

@@ -7,9 +7,12 @@ Every algorithm in this package is written against plain arithmetic
 * ``mpmath.mpf`` -- configurable-precision floats, the workhorse,
 * ``float`` -- machine precision, for quick looks at small sizes.
 
-``PrecisionConfig`` picks the mode and carries the working-precision policy;
-``parse_rational`` accepts the "p/q"-or-decimal literals used by the CLI and
-the series file format.
+Every change of scalar type goes through two functions. ``as_fraction``
+gives the exact value of a str ("p/q", decimal or integer literal), int,
+float, Fraction or mpf. ``PrecisionConfig.scalar`` is ``as_fraction``
+followed by the mode's one rounding: none (exact), to the nearest float
+(machine), or to an mpf at ``bits`` (bigfloat). ``parse_rational`` is
+another name for ``as_fraction``.
 """
 
 from __future__ import annotations
@@ -63,12 +66,20 @@ class PrecisionConfig:
         return mp.workprec(max(self.bits, bits or 0))
 
     def scalar(self, value) -> Scalar:
-        """Convert a literal (int, float, Fraction, or string) into this mode's scalar."""
-        q = value if isinstance(value, Fraction) else parse_rational(value)
+        """``as_fraction(value)`` rounded once to this mode's scalar.
+
+        Exact mode keeps the Fraction, machine mode rounds to the nearest
+        float (ValueError outside the float range) and bigfloat mode divides
+        in mpf at ``bits``.
+        """
+        q = as_fraction(value)
         if self.mode == "exact":
             return q
         if self.mode == "machine":
-            return q.numerator / q.denominator
+            try:
+                return q.numerator / q.denominator
+            except OverflowError:
+                raise ValueError("a value is outside the float range of machine precision") from None
         with mp.workprec(self.bits):
             return mpmath.mpf(q.numerator) / q.denominator
 
@@ -86,42 +97,29 @@ class PrecisionConfig:
         return 17
 
 
-def parse_rational(text) -> Fraction:
-    """Parse "p/q", decimal, or integer literals into an exact Fraction.
-
-    ints, floats, and Fractions pass through (floats convert exactly, i.e.
-    to their binary value).
-    """
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        return Fraction(text)
-    if isinstance(text, str):
-        return Fraction(text.strip())
-    raise ValueError(f"cannot parse {text!r} as a rational literal")
-
-
 def as_fraction(x) -> Fraction:
-    """Exact conversion of any real scalar to Fraction (mpf converts losslessly)."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, mpmath.mpf):
-        if not mpmath.isfinite(x):
-            raise ValueError(f"cannot convert non-finite value {x}")
+    """The exact value of x as a Fraction.
+
+    Accepts "p/q", decimal or integer strings, ints, floats, Fractions and
+    mpfs; floats and mpfs convert to their binary value, losslessly.
+    Non-finite values, zero denominators and other types raise ValueError.
+    """
+    if isinstance(x, Fraction):
+        return x
+    try:
+        if isinstance(x, str):
+            return Fraction(x.strip())
+        if isinstance(x, (int, float)):
+            return Fraction(x)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot convert {x!r} to a Fraction") from exc
+    if isinstance(x, mpmath.mpf) and mpmath.isfinite(x):
         p, q = mpmath.libmp.to_rational(x._mpf_)
         return Fraction(int(p), int(q))
-    raise ValueError(f"cannot convert {type(x).__name__} to Fraction")
+    raise ValueError(f"cannot convert {x!r} to a Fraction")
 
 
-def to_mpf(x) -> mpmath.mpf:
-    """x as an mpf rounded once at the ambient precision (Fractions divide in mpf)."""
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+parse_rational = as_fraction
 
 
 def sign(x) -> int:
@@ -177,6 +175,16 @@ def check_not_root_of_unity(b, max_k: int) -> None:
         elif abs(p - 1) < ROOT_OF_UNITY_TOL:
             raise RootOfUnityError(b, k)
         p = p * b
+
+
+def check_log_domain(b, x, name: str = "x") -> None:
+    """Raise DomainError unless log_b(x) is real: b > 0, b != 1 and x > 0."""
+    from .errors import DomainError
+
+    if not (b > 0 and b != 1):
+        raise DomainError(f"the real logarithm needs a base b > 0 with b != 1, got b={b}")
+    if not x > 0:
+        raise DomainError(f"the real logarithm needs {name} > 0, got {name}={x}")
 
 
 def format_scalar(x, dps: int | None = None) -> str:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from abelsweep import (
     AffineParams,
+    DomainError,
     LogApproxPoly,
     PrecisionConfig,
     RootOfUnityError,
@@ -108,6 +109,23 @@ class TestBetaValues:
         v = beta_direct(p, 3, 2)
         w = beta_recurrence(p, 3, 2)
         assert abs(v - w) < 1e-12
+
+    def test_recurrence_memo_keeps_exact_apart_from_float(self):
+        # 0.125 == F(1, 8) and both hash alike, so a float fill must not answer
+        beta_recurrence(AffineParams(0.125, 1), 6, 1)
+        got = beta_recurrence(AffineParams(F(1, 8), 1), 6, 1)
+        assert type(got) is F and got == F(-2576862544, 5317395993)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_recurrence_over_mpf_base(self, bits):
+        # 128 runs after 64: a fill kept from the lower precision would fail it
+        cfg = PrecisionConfig("bigfloat", bits=bits)
+        p = AffineParams(cfg.scalar(F(1, 3)), cfg.scalar(1))
+        with cfg.workprec():
+            for m in range(1, 9):
+                want = beta_direct(AffineParams(F(1, 3), 1), 8, m)
+                got = as_fraction(beta_recurrence(p, 8, m))
+                assert abs(got - want) <= F(2) ** (8 - bits) * abs(want)
 
 
 class TestLogPoly:
@@ -210,6 +228,11 @@ class TestLogPoly:
         poly = log_poly(F(1, 2), 200)
         ref = reference_log(F(1, 2), F(3, 10), bits=400)
         assert abs(eval_log_poly(poly, F(3, 10), BIG) - ref) < 1e-3
+
+    @pytest.mark.parametrize("b,x", [(0, F(1, 2)), (F(-2), F(1, 2)), (1, 2), (F(1, 2), 0), (F(1, 2), F(-1, 2))])
+    def test_reference_log_domain(self, b, x):
+        with pytest.raises(DomainError):
+            reference_log(b, x)
 
     def test_machine_mode_small_degree(self):
         poly = log_poly(F(1, 2), 12)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -207,6 +208,85 @@ class TestReports:
         )
         assert code == 1
         assert "bracket" in err
+
+
+class TestScalarConversions:
+    """Commands where two scalar types met or a value left its domain."""
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("logapprox", "--b", "1/2", "--n", "20", "--xs", "1/2,1/4,1/8,1/16,1/32",
+              "--precision", "exact"), 0),
+            (("affine", "--b", "2", "--s", "1", "--n", "6", "--method", "all",
+              "--precision", "bits:64"), 0),
+            (("explore-bgt1", "--b", "2", "--n", "20", "--format", "json"), 0),
+            (("solve", "--b", "1e400", "--s", "1", "--N", "3", "--precision", "machine"), 1),
+            (("iterate", "--b", "2", "--s", "1", "--t", "1", "--z", "1e400",
+              "--precision", "machine"), 1),
+            (("solve", "--series", "{text_series}", "--N", "2", "--precision", "machine"), 1),
+            (("solve", "--series", "{number_series}", "--N", "2"), 1),
+            (("logapprox", "--b", "0", "--n", "20", "--xs", "1/2"), 2),
+            (("logapprox", "--b", "-2", "--n", "20", "--xs", "1/2"), 2),
+            (("logapprox", "--b", "1/2", "--n", "20", "--xs", "-1/2"), 2),
+            (("explore-bgt1", "--xs", "0"), 2),
+        ],
+    )
+    def test_exit_code_and_one_line(self, capsys, tmp_path, argv, want):
+        text_series = tmp_path / "text.json"
+        text_series.write_text(json.dumps({"center": 0, "coeffs": ["1e400", "2"]}))
+        number_series = tmp_path / "number.json"
+        number_series.write_text('{"center": 0, "coeffs": [1e400, 2]}')
+        argv = [a.format(text_series=text_series, number_series=number_series) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == want
+        assert "Traceback" not in err
+        assert len(err.splitlines()) <= 1 and len(err) <= 200
+        for bad in ("inf", "nan", "j)"):
+            assert bad not in out
+
+    def test_lattice_identity_command(self, capsys):
+        # README criterion 4: P_n(b**m) = sum_{i<m} 1 - (1 - b**i)**n, exactly
+        code, out, _ = run(
+            capsys, "logapprox", "--b", "1/2", "--n", "20",
+            "--xs", "1/2,1/4,1/8,1/16,1/32", "--precision", "exact",
+        )
+        assert code == 0
+        b = F(1, 2)
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [F(x) for _, x, _, _, _ in rows] == [b**m for m in range(1, 6)]
+        for m, (_, _, approx, _, _) in enumerate(rows, start=1):
+            assert F(approx) == sum(1 - (1 - b**i) ** 20 for i in range(m))
+
+    def test_affine_bigfloat_recurrence_matches_direct(self, capsys):
+        code, out, _ = run(
+            capsys, "affine", "--b", "2", "--s", "1", "--n", "6",
+            "--method", "all", "--precision", "bits:64",
+        )
+        assert code == 0
+        for line in out.strip().split("\n")[1:]:
+            _, direct, recurrence, _ = (F(v) for v in line.split(","))
+            assert abs(recurrence - direct) <= F(1, 2**60) * abs(direct)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("logapprox", "--b", "1/2", "--n", "20,30", "--xs", "0.3,0.7"),
+            ("explore-bgt1", "--b", "2", "--n", "20"),
+        ],
+    )
+    def test_log_table_json_is_records(self, capsys, argv):
+        code, csv_out, _ = run(capsys, *argv)
+        code2, json_out, _ = run(capsys, *argv, "--format", "json")
+        assert code == code2 == 0
+        header, *lines = csv_out.strip().split("\n")
+        records = json.loads(json_out)
+        assert isinstance(records, list) and len(records) == len(lines)
+        keys = ["n", "x", "approx", "reference_log", "abs_error"]
+        assert header.split(",") == keys
+        for record, line in zip(records, lines):
+            assert list(record) == keys
+            assert list(record.values()) == line.split(",")
 
 
 class TestNegativeLiterals:

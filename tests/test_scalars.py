@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelsweep import PrecisionConfig, RootOfUnityError, format_scalar, parse_rational
 from abelsweep.scalars import as_fraction, binomial, check_not_root_of_unity, gen_binomial
@@ -95,3 +97,46 @@ class TestAsFraction:
         q = as_fraction(x)
         with mpmath.mp.workprec(80):
             assert mpmath.mpf(q.numerator) / q.denominator == x
+
+    def test_parse_rational_is_as_fraction(self):
+        assert parse_rational is as_fraction
+
+    @pytest.mark.parametrize(
+        "x",
+        [float("inf"), float("nan"), mpmath.inf, mpmath.nan, "inf", "1/0", None, 1j, [1]],
+        ids=repr,
+    )
+    def test_rejects_non_finite_and_other_input(self, x):
+        with pytest.raises(ValueError):
+            as_fraction(x)
+
+    @given(
+        st.fractions(max_denominator=10**30).filter(lambda q: abs(q) < 10**40),
+        st.sampled_from(["fraction", "float", "mpf", "str"]),
+        st.integers(min_value=24, max_value=300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_is_one_rounding_of_the_exact_value(self, q, kind, bits):
+        if kind == "float":
+            x = float(q)
+        elif kind == "mpf":
+            with mpmath.mp.workprec(bits + 40):
+                x = mpmath.mpf(q.numerator) / q.denominator
+        elif kind == "str":
+            x = str(q)
+        else:
+            x = q
+        exact = F(x) if kind == "float" else as_fraction(x)
+        assert as_fraction(str(exact)) == exact
+        with mpmath.mp.workprec(bits):
+            want = mpmath.mpf(exact.numerator) / exact.denominator
+        got = PrecisionConfig("bigfloat", bits=bits).scalar(x)
+        assert got._mpf_ == want._mpf_
+
+
+class TestMachineRange:
+    @pytest.mark.parametrize("x", ["1e400", F(-(10**400)), 10**400], ids=["str", "fraction", "int"])
+    def test_out_of_range_is_one_line_value_error(self, x):
+        with pytest.raises(ValueError) as info:
+            PrecisionConfig("machine").scalar(x)
+        assert len(str(info.value)) < 200 and "\n" not in str(info.value)
