@@ -45,12 +45,8 @@ from .powerseries import (
     exp_shift_series,
     from_json_dict,
     pad,
-    recenter,
-    series_add,
     series_compose,
     series_mul,
-    series_pow,
-    series_sub,
 )
 from .scalars import PrecisionConfig, format_scalar, parse_rational
 from .solver import (
@@ -103,17 +99,13 @@ __all__ = [
     "pad",
     "parse_rational",
     "poly_abel_context",
-    "recenter",
     "reference_log",
     "remainder",
     "remainder_bound",
     "s_invariance_gap",
     "semigroup_check",
-    "series_add",
     "series_compose",
     "series_mul",
-    "series_pow",
-    "series_sub",
     "solve_truncated",
     "__version__",
 ]

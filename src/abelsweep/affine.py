@@ -1,11 +1,12 @@
-"""Closed forms and convergence diagnostics for g(x) = b*(x+s) - s.
+"""Closed forms and approximation diagnostics for g(x) = b*(x+s) - s.
 
 For this family the truncated Abel systems admit closed-form solutions: a
 recurrence obtained by triangularizing the system, and a direct alternating
 binomial sum. Summing the solution polynomial against powers of x/s yields an
-s-free polynomial sequence that approximates log_b; the helpers below expose
-that sequence together with the remainder quantities controlling its
-convergence.
+s-free polynomial sequence P_n that approximates log_b but does not converge
+to it: P_n(x) - log_b(x) has a part log-periodic in n that does not decay,
+about 3e-6 at most on [b, 1] for b=1/2 and 5e-4 for b=1/3. The helpers below
+expose that sequence together with its remainder quantities.
 
 The log approximation's monomial coefficients alternate in sign and reach
 about 2**n, so they are carried exactly (Fractions over rational bases).
@@ -34,7 +35,6 @@ from .scalars import (
     binomial,
     check_log_domain,
     check_not_root_of_unity,
-    gen_binomial,
 )
 
 
@@ -66,9 +66,6 @@ class AffineParams:
 
     def ensure_order(self, order: int) -> None:
         check_not_root_of_unity(self.b, order)
-
-    def apply(self, z):
-        return self.b * (z + self.s) - self.s
 
 
 def affine_series(p: AffineParams, order: int) -> TruncatedSeries:
@@ -138,7 +135,9 @@ class LogApproxPoly:
     """Degree-n polynomial approximating log_b, in the monomial basis.
 
     Its value at 1 is exactly 0 (every building block vanishes there), and at
-    b it is exactly 1.
+    b it is exactly 1. Elsewhere its error does not vanish as n grows: it
+    oscillates log-periodically in n, up to about 3e-6 on [b, 1] for b=1/2
+    and 5e-4 for b=1/3.
 
     ``_fixed`` memoizes the coefficients rounded for bigfloat evaluation:
     (G, (floor(c_0*2**G), ..., floor(c_n*2**G))) for the largest fraction-bit

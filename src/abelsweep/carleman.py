@@ -24,13 +24,6 @@ class BellMatrix:
     """
 
     entries: tuple
-    order: int
-
-    def entry(self, m: int, n: int):
-        return self.entries[m][n]
-
-    def rows(self):
-        return self.entries
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ def bell_matrix(f: TruncatedSeries, N: int) -> BellMatrix:
     entries = tuple(
         tuple(columns[n][m] for n in range(N + 1)) for m in range(N)
     )
-    return BellMatrix(entries, N)
+    return BellMatrix(entries)
 
 
 def abel_system(f: TruncatedSeries, N: int) -> AbelSystem:

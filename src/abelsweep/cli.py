@@ -78,8 +78,12 @@ def _int_range(text: str) -> list[int]:
         parts = [int(tok) for tok in text.split(":")]
         lo, hi = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return list(range(lo, hi + 1, step))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = list(range(lo, hi + 1, step))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise UsageError(f"empty range {text!r}")
+    return values
 
 
 _MACHINE = PrecisionConfig("machine")
@@ -153,7 +157,7 @@ def _cmd_matrix(args) -> str:
             header = [f"a{n + 1}" for n in range(args.N)] + ["rhs"]
         else:
             bm = bell_matrix(f, args.N)
-            rows = [[format_scalar(v, cfg.dps) for v in row] for row in bm.rows()]
+            rows = [[format_scalar(v, cfg.dps) for v in row] for row in bm.entries]
             header = [f"n{n}" for n in range(args.N + 1)]
     if args.format == "json":
         return _json({"N": args.N, "rows": rows})
@@ -253,7 +257,6 @@ def _cmd_invariance(args) -> str:
     cfg = args.precision
     p1 = AffineParams(args.b, args.s1)
     p2 = AffineParams(args.b, args.s2)
-    p1.ensure_order(args.n)
     report = s_invariance_gap(p1, p2, args.n, args.xs, cfg)
     if args.format == "csv":
         rows = [
@@ -284,7 +287,6 @@ def _cmd_iterate(args) -> str:
     else:
         if args.bracket is None:
             raise UsageError("--bracket lo:hi is required with --n (polynomial inversion)")
-        p.ensure_order(args.n)
         ctx = poly_abel_context(p, args.n, cfg, bracket=args.bracket, tol=args.tol)
     rows = []
     for t in args.t:
@@ -301,6 +303,8 @@ def _cmd_explore_exp(args) -> str:
     if (args.Ns is None) == (args.N_max is None):
         raise UsageError("give exactly one of --Ns or --N-max")
     Ns = args.Ns if args.Ns is not None else list(range(1, args.N_max + 1))
+    if not Ns:
+        raise UsageError("--N-max must be at least 1")
     f = exp_shift_series(args.s, max(Ns) - 1 if max(Ns) > 1 else 1, cfg)
     stab = StabilizationConfig(args.tol_abs, args.tol_rel, args.window)
     report = intuitive_sweep(f, Ns, cfg, stab)

@@ -86,24 +86,8 @@ def pad(f: TruncatedSeries, order: int) -> TruncatedSeries:
 
 def _common_order(a: TruncatedSeries, b: TruncatedSeries) -> int:
     if a.center != b.center:
-        raise ValueError(
-            f"centers differ ({a.center} vs {b.center}); recenter first"
-        )
+        raise ValueError(f"centers differ ({a.center} vs {b.center})")
     return min(a.order, b.order)
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    k = _common_order(a, b)
-    return TruncatedSeries(
-        tuple(a.coeffs[m] + b.coeffs[m] for m in range(k + 1)), a.center
-    )
-
-
-def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    k = _common_order(a, b)
-    return TruncatedSeries(
-        tuple(a.coeffs[m] - b.coeffs[m] for m in range(k + 1)), a.center
-    )
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -116,21 +100,6 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             acc = acc + a.coeffs[i] * b.coeffs[n - i]
         coeffs.append(acc)
     return TruncatedSeries(tuple(coeffs), a.center)
-
-
-def series_pow(f: TruncatedSeries, n: int) -> TruncatedSeries:
-    """f**n truncated to f.order; n-1 repeated truncated multiplications.
-
-    Repeated multiplication (rather than binary powering) keeps the rounding
-    history identical across runs and modes.
-    """
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    one = 1 if isinstance(f.coeffs[0], (int, Fraction)) else f.coeffs[0] * 0 + 1
-    out = constant(one, f.order, f.center)
-    for _ in range(n):
-        out = series_mul(out, f)
-    return out
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
@@ -152,23 +121,12 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries, order: int | 
     return acc
 
 
-def recenter(f: TruncatedSeries, s: Scalar) -> TruncatedSeries:
-    """Shift conjugation g(x) = f(x+s) - s, developed at 0.
-
-    Horner substitution of (x+s) into the stored polynomial: O(K^2) scalar
-    operations, exact in rational mode.
-    """
-    shift = TruncatedSeries((s * 1, s * 0 + 1) + (s * 0,) * max(0, f.order - 1), f.center)
-    g = series_compose(f, pad(shift, f.order), order=f.order)
-    coeffs = (g.coeffs[0] - s,) + g.coeffs[1:]
-    return TruncatedSeries(coeffs, 0)
-
-
 def exp_shift_series(s, order: int, cfg: PrecisionConfig) -> TruncatedSeries:
     """Series of g(x) = e**(x+s) - s at 0: c_0 = e**s - s, c_m = e**s / m!.
 
     Exact mode is only possible for s == 0 (coefficients 1/m!); any other s
-    makes e**s irrational and raises.
+    makes e**s irrational and raises. Machine mode raises ValueError when
+    e**s or some m! (m >= 171) is outside the float range.
     """
     sv = cfg.scalar(s)
     if cfg.exact:
@@ -177,7 +135,12 @@ def exp_shift_series(s, order: int, cfg: PrecisionConfig) -> TruncatedSeries:
         coeffs = tuple(Fraction(1, math.factorial(m)) for m in range(order + 1))
         return TruncatedSeries(coeffs, 0)
     exp = math.exp if cfg.mode == "machine" else mpmath.exp
-    with cfg.workprec():
-        es = exp(sv)
-        coeffs = [es - sv] + [es / math.factorial(m) for m in range(1, order + 1)]
+    try:
+        with cfg.workprec():
+            es = exp(sv)
+            coeffs = [es - sv] + [es / math.factorial(m) for m in range(1, order + 1)]
+    except OverflowError:  # only floats overflow: e**s, or m! for m >= 171
+        raise ValueError(
+            f"the coefficients e**s/m! (s={s}, m <= {order}) are outside the float range of machine precision"
+        ) from None
     return TruncatedSeries(tuple(coeffs), cfg.scalar(0))

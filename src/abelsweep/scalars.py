@@ -18,6 +18,7 @@ another name for ``as_fraction``.
 from __future__ import annotations
 
 import contextlib
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,20 +145,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def gen_binomial(x, k: int):
-    """Generalized C(x, k) for scalar x via the falling-factorial product.
-
-    Exact when x is a Fraction; otherwise computed in x's arithmetic at the
-    ambient precision.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    num = 1
-    for i in range(k):
-        num = num * (x - i)
-    return num / math.factorial(k)
-
-
 def check_not_root_of_unity(b, max_k: int) -> None:
     """Raise RootOfUnityError if b**k == 1 for some 1 <= k <= max_k.
 
@@ -187,18 +174,26 @@ def check_log_domain(b, x, name: str = "x") -> None:
         raise DomainError(f"the real logarithm needs {name} > 0, got {name}={x}")
 
 
+def _int_text(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits(); Decimal has no limit
+        return str(decimal.Decimal(n))
+
+
 def format_scalar(x, dps: int | None = None) -> str:
     """Lossless, deterministic text for report files.
 
     Fractions render as "p/q" (plain integer when q == 1), floats with
-    shortest round-trip repr, mpf with ``dps`` significant digits.
+    shortest round-trip repr, mpf with ``dps`` significant digits. Integers
+    print in full, also past Python's limit on int-to-str conversion.
     """
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+            return _int_text(x.numerator)
+        return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
     if isinstance(x, (int, bool)):
-        return str(x)
+        return _int_text(x)
     if isinstance(x, float):
         return repr(x)
     if isinstance(x, (mpmath.mpf, mpmath.mpc)):

@@ -19,7 +19,7 @@ import mpmath
 from .carleman import AbelSystem, abel_system
 from .errors import SingularSystemError
 from .powerseries import TruncatedSeries, pad, series_compose
-from .scalars import PrecisionConfig, Scalar, format_scalar, sign
+from .scalars import PrecisionConfig, Scalar, as_fraction, format_scalar, sign
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +146,14 @@ class StabilizationConfig:
     tol_rel: float = 1e-9
     window: int = 3
 
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError(f"the stabilization window must be at least 1, got {self.window}")
+        for name in ("tol_abs", "tol_rel"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
+
     def as_dict(self) -> dict:
         return {
             "tol_abs": self.tol_abs,
@@ -213,7 +221,7 @@ def classify_trajectory(values: Sequence, stab: StabilizationConfig) -> Verdict:
     deltas = [tail[i + 1] - tail[i] for i in range(w)]
     v = tail[-1]
     if isinstance(v, Fraction):  # keep the comparison exact in rational mode
-        tol = Fraction(stab.tol_abs) + Fraction(stab.tol_rel) * abs(v)
+        tol = as_fraction(stab.tol_abs) + as_fraction(stab.tol_rel) * abs(v)
     else:
         tol = stab.tol_abs + stab.tol_rel * abs(v)
     if all(abs(d) <= tol for d in deltas):

@@ -9,7 +9,7 @@ from abelsweep import (
     abel_system,
     affine_series,
     bell_matrix,
-    series_pow,
+    series_mul,
 )
 from abelsweep.scalars import binomial
 
@@ -26,19 +26,19 @@ class TestBellMatrix:
         bm = bell_matrix(affine(2, 3, 3), 4)
         for m in range(4):
             for n in range(5):
-                assert bm.entry(m, n) == binomial(n, m) * d ** (n - m) * b**m
+                assert bm.entries[m][n] == binomial(n, m) * d ** (n - m) * b**m
 
     def test_identity_map_gives_identity_pattern(self):
         f = TruncatedSeries((F(0), F(1), F(0), F(0)), 0)
         bm = bell_matrix(f, 4)
         for m in range(4):
             for n in range(5):
-                assert bm.entry(m, n) == (1 if m == n else 0)
+                assert bm.entries[m][n] == (1 if m == n else 0)
 
     def test_two_x_plus_one(self):
         f = TruncatedSeries((F(1), F(2), F(0)), 0)
         bm = bell_matrix(f, 3)
-        assert [list(r[:4]) for r in bm.rows()] == [
+        assert [list(r[:4]) for r in bm.entries] == [
             [1, 1, 1, 1],
             [0, 2, 4, 6],
             [0, 0, 4, 12],
@@ -46,7 +46,7 @@ class TestBellMatrix:
 
     def test_column_zero_is_unit(self):
         bm = bell_matrix(affine(3, 1, 4), 5)
-        assert [bm.entry(m, 0) for m in range(5)] == [1, 0, 0, 0, 0]
+        assert [bm.entries[m][0] for m in range(5)] == [1, 0, 0, 0, 0]
 
     def test_insufficient_order_is_error(self):
         with pytest.raises(ValueError, match="order"):
@@ -62,9 +62,10 @@ class TestBellMatrix:
         f = TruncatedSeries(tuple(F(c) for c in coeffs), 0)
         N = 4
         bm = bell_matrix(f, N)
+        power = TruncatedSeries((F(1),) + (F(0),) * f.order, 0)
         for n in range(N + 1):
-            power = series_pow(f, n)
-            assert [bm.entry(m, n) for m in range(N)] == list(power.coeffs[:N])
+            assert [bm.entries[m][n] for m in range(N)] == list(power.coeffs[:N])
+            power = series_mul(power, f)
 
     def test_exponential_entries(self):
         # powers of e^x have coefficients (f^n)_m = n^m / m!
@@ -74,8 +75,8 @@ class TestBellMatrix:
         bm = bell_matrix(f, 4)
         for m in range(4):
             for n in range(5):
-                assert bm.entry(m, n) == F(n**m, math.factorial(m))
-        assert bm.entry(1, 2) == 2
+                assert bm.entries[m][n] == F(n**m, math.factorial(m))
+        assert bm.entries[1][2] == 2
 
 
 class TestAbelSystem:

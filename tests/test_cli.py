@@ -230,6 +230,16 @@ class TestScalarConversions:
             (("logapprox", "--b", "-2", "--n", "20", "--xs", "1/2"), 2),
             (("logapprox", "--b", "1/2", "--n", "20", "--xs", "-1/2"), 2),
             (("explore-bgt1", "--xs", "0"), 2),
+            (("explore-exp", "--s", "800", "--N-max", "3", "--precision", "machine"), 1),
+            (("explore-exp", "--N-max", "180", "--precision", "machine"), 1),
+            (("sweep", "--b", "2", "--s", "1", "--Ns", "1:4", "--window", "0"), 1),
+            (("sweep", "--b", "2", "--s", "1", "--Ns", "1:4", "--tol-abs", "nan"), 1),
+            (("sweep", "--b", "2", "--s", "1", "--Ns", "1:4", "--tol-rel", "inf"), 1),
+            (("explore-exp", "--N-max", "4", "--tol-abs", "-1e-9"), 1),
+            (("explore-exp", "--N-max", "0"), 1),
+            (("sweep", "--b", "2", "--s", "1", "--Ns", "3:1"), 1),
+            (("logapprox", "--b", "1/2", "--n", "400", "--xs", "0.1,0.25,0.5,0.75,0.9",
+              "--precision", "exact"), 0),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, want):
@@ -242,6 +252,8 @@ class TestScalarConversions:
         assert code == want
         assert "Traceback" not in err
         assert len(err.splitlines()) <= 1 and len(err) <= 200
+        if want == 1 and "machine" in argv:
+            assert "machine precision" in err
         for bad in ("inf", "nan", "j)"):
             assert bad not in out
 

@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +10,11 @@ from abelsweep import (
     exp_shift_series,
     from_json_dict,
     pad,
-    recenter,
-    series_add,
     series_compose,
     series_mul,
-    series_pow,
 )
 
-from conftest import rational_coeff_lists, small_rationals
+from conftest import rational_coeff_lists
 
 
 def S(*coeffs, center=0):
@@ -68,65 +64,11 @@ class TestMul:
         assert series_mul(a, b) == S(1, 0, 0)
 
     def test_center_mismatch_is_error(self):
-        with pytest.raises(ValueError, match="recenter"):
+        with pytest.raises(ValueError, match="centers differ"):
             series_mul(S(1, 1), TruncatedSeries((F(1), F(1)), center=F(1)))
 
     def test_unequal_orders_truncate_to_smaller(self):
         assert series_mul(S(1, 1, 1, 1), S(1, 1)).order == 1
-
-
-class TestPow:
-    def test_affine_power_is_binomial(self):
-        # (bx + d)^n has coefficients C(n,k) d^(n-k) b^k
-        b, d, n = F(2), F(3), 4
-        f = TruncatedSeries((d, b, F(0), F(0), F(0)), 0)
-        got = series_pow(f, n)
-        from abelsweep.scalars import binomial
-
-        want = tuple(binomial(n, k) * d ** (n - k) * b**k for k in range(5))
-        assert got.coeffs == want
-
-    def test_zeroth_power(self):
-        f = S(5, 7, 9)
-        assert series_pow(f, 0) == S(1, 0, 0)
-
-    def test_cube_of_one_plus_x(self):
-        f = S(1, 1, 0, 0)
-        assert series_pow(f, 3) == S(1, 3, 3, 1)
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            series_pow(S(1, 1), -1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(rational_coeff_lists(min_size=2, max_size=5), st.integers(0, 8))
-    def test_pow_equals_repeated_mul(self, coeffs, n):
-        f = TruncatedSeries(tuple(coeffs), 0)
-        by_mul = reduce(series_mul, [f] * n) if n else series_pow(f, 0)
-        assert series_pow(f, n) == by_mul
-
-
-class TestRecenter:
-    def test_affine_shift(self):
-        # f(x) = bx recentered by s -> bx + s(b-1)
-        b, s = F(2), F(3)
-        f = TruncatedSeries((F(0), b, F(0)), 0)
-        assert recenter(f, s) == TruncatedSeries((s * (b - 1), b, F(0)), 0)
-
-    def test_zero_shift_is_identity(self):
-        f = S(2, 3, 4)
-        assert recenter(f, F(0)) == f
-
-    def test_square_shift(self):
-        # f(x) = x^2, s=1: (x+1)^2 - 1 = x^2 + 2x
-        f = S(0, 0, 1)
-        assert recenter(f, F(1)) == S(0, 2, 1)
-
-    @settings(max_examples=40, deadline=None)
-    @given(rational_coeff_lists(min_size=1, max_size=5), small_rationals())
-    def test_round_trip(self, coeffs, s):
-        f = TruncatedSeries(tuple(coeffs), 0)
-        assert recenter(recenter(f, s), -s) == f
 
 
 class TestAlgebraProperties:
@@ -143,9 +85,6 @@ class TestAlgebraProperties:
         fb = TruncatedSeries(tuple(b), 0)
         fc = TruncatedSeries(tuple(c), 0)
         assert series_mul(series_mul(fa, fb), fc) == series_mul(fa, series_mul(fb, fc))
-
-    def test_add(self):
-        assert series_add(S(1, 2), S(3, 4)) == S(4, 6)
 
 
 class TestCompose:
