@@ -137,7 +137,8 @@ class LogApproxPoly:
     Its value at 1 is exactly 0 (every building block vanishes there), and at
     b it is exactly 1. Elsewhere its error does not vanish as n grows: it
     oscillates log-periodically in n, up to about 3e-6 on [b, 1] for b=1/2
-    and 5e-4 for b=1/3.
+    and 5e-4 for b=1/3. ``iterate.poly_abel_context`` holds P_n - P_n(0)
+    instead, with c_0 = 0: an Abel function needs no constant term.
 
     ``_fixed`` memoizes the coefficients rounded for bigfloat evaluation:
     (G, (floor(c_0*2**G), ..., floor(c_n*2**G))) for the largest fraction-bit
@@ -153,29 +154,36 @@ class LogApproxPoly:
     _fixed: tuple = field(default=(-1, ()), init=False, compare=False, hash=False, repr=False)
 
 
-def log_poly(b, n: int) -> LogApproxPoly:
-    """Coefficients of sum_k C(n,k) (-1)^(k+1) (1 - x**k) / (1 - b**k).
+def _log_coeffs(b, n: int) -> tuple:
+    """c_1..c_n of P_n, with c_k = (-1)**k C(n,k) / (1 - b**k).
 
-    Exact (Fraction) when b is rational; the constant term collects all the
-    k-terms and the x**k coefficient is the negated k-term. The constant term
-    is summed pairwise: the exact denominators grow with every term, and a
-    balanced sum keeps the operands of most additions small.
+    These alone fix P_n - P_n(0), which is all an Abel function needs.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    b = _normalize(b)
     check_not_root_of_unity(b, n)
-    weights = []
+    coeffs = []
     for k in range(1, n + 1):
         c = binomial(n, k)
-        w = (c if k % 2 == 1 else -c) / (1 - b**k)
-        weights.append(w)
-    terms = weights
+        coeffs.append((c if k % 2 == 0 else -c) / (1 - b**k))
+    return tuple(coeffs)
+
+
+def log_poly(b, n: int) -> LogApproxPoly:
+    """Coefficients of sum_k C(n,k) (-1)^(k+1) (1 - x**k) / (1 - b**k).
+
+    Exact (Fraction) when b is rational; the constant term is minus the sum
+    of the others. It is summed pairwise: the exact denominators grow with
+    every term, and a balanced sum keeps the operands of most additions
+    small.
+    """
+    b = _normalize(b)
+    coeffs = _log_coeffs(b, n)
+    terms = list(coeffs)
     while len(terms) > 1:
         pairs = [u + v for u, v in zip(terms[::2], terms[1::2])]
         terms = pairs + terms[2 * len(pairs):]
-    coeffs = (terms[0],) + tuple(-w for w in weights)
-    return LogApproxPoly(n, b, coeffs)
+    return LogApproxPoly(n, b, (-terms[0],) + coeffs)
 
 
 def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
@@ -184,12 +192,14 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
     Exact mode needs a rational x and returns a Fraction; machine mode is
     plain float Horner. Bigfloat mode keeps x exact as p/q, rounds each
     coefficient once down to an integer multiple of 2**-F, and runs
-    ``acc = acc*p // q + C_k`` on integers: the alternating terms of size up
-    to 2**n cancel exactly, and only the n+1 coefficient roundings and n
-    floor divisions (each below 2**-F) add up, amplified by at most
-    max(1, |x|)**n. With F = bits + guard_bits + ceil(n*log2|x|)_+ +
-    bit_length(n+1) the error is below 2**(1 - bits - guard_bits) before
-    the result is rounded to an mpf of F bits, whatever n and x are.
+    ``acc = acc*p // q + C_k`` on integers; when q = 2**k, as for every
+    float and mpf x, the floor division is the shift ``acc*p >> k``, with
+    the same result. The alternating terms of size up to 2**n cancel
+    exactly, and only the n+1 coefficient roundings and n floor divisions
+    (each below 2**-F) add up, amplified by at most max(1, |x|)**n. With
+    F = bits + guard_bits + ceil(n*log2|x|)_+ + bit_length(n+1) the error
+    is below 2**(1 - bits - guard_bits) before the result is rounded to an
+    mpf of F bits, whatever n and x are.
 
     The rounded coefficients are memoized on the polynomial at the largest F
     requested so far, G; a call at F <= G reads them as C_k >> (G - F),
@@ -222,8 +232,13 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
         object.__setattr__(pL, "_fixed", (fixed_bits, fixed))
     shift = fixed_bits - frac_bits
     acc = 0
-    for c in reversed(fixed):
-        acc = acc * p // q + (c >> shift)
+    if q & (q - 1):
+        for c in reversed(fixed):
+            acc = acc * p // q + (c >> shift)
+    else:  # binary point: floor division by 2**k is a right shift
+        k = q.bit_length() - 1
+        for c in reversed(fixed):
+            acc = (acc * p >> k) + (c >> shift)
     return mpmath.mpf((acc, -frac_bits), prec=frac_bits)
 
 

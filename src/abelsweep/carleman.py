@@ -44,7 +44,8 @@ def bell_matrix(f: TruncatedSeries, N: int) -> BellMatrix:
 
     Requires f developed at 0 with order at least N-1. Powers are built by
     repeated truncated multiplication, so each column n is exactly the
-    coefficient list of f**n up to degree N-1.
+    coefficient list of f**n up to degree N-1. Only floats can overflow
+    there; a power that does raises ValueError naming machine precision.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -58,8 +59,13 @@ def bell_matrix(f: TruncatedSeries, N: int) -> BellMatrix:
     one = ft.coeffs[0] * 0 + 1
     power = constant(one, N - 1, 0)
     columns = [power.coeffs]
-    for _ in range(N):
-        power = series_mul(power, ft)
+    for n in range(1, N + 1):
+        try:
+            power = series_mul(power, ft)
+        except ValueError:  # a non-finite coefficient
+            raise ValueError(
+                f"the coefficients of f**{n} (N={N}) are outside the float range of machine precision"
+            ) from None
         columns.append(power.coeffs)
     entries = tuple(
         tuple(columns[n][m] for n in range(N + 1)) for m in range(N)

@@ -5,8 +5,13 @@ image of t + abel(z). Inversion runs Illinois steps (Dowell & Jarratt, BIT 11
 (1971) 168-174) on a user-supplied monotone bracket: secant points of the
 current bracket, with the function value at an end kept twice in a row
 halved. Like bisection it needs only function values and keeps the root
-bracketed, but it converges superlinearly, so each iterate costs a dozen or
-so Abel evaluations instead of one per bit.
+bracketed, but it converges superlinearly, so each iterate costs about ten
+Abel evaluations instead of one per bit. The values at the bracket ends do
+not depend on the query, so a context computes them once, when it is built.
+
+An Abel function is fixed only up to an additive constant, and the inverse
+of t + abel(z) does not see it: the polynomial context evaluates
+P_n - P_n(0) and never builds P_n's exact constant term.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Callable
 
 import mpmath
 
-from .affine import AffineParams, eval_log_poly, log_poly
+from .affine import AffineParams, LogApproxPoly, _log_coeffs, eval_log_poly
 from .errors import BracketError, DomainError
 from .scalars import PrecisionConfig, Scalar, check_log_domain, sign
 
@@ -29,13 +34,16 @@ class IterationContext:
     """An Abel evaluator plus the inversion policy.
 
     ``bracket`` must straddle every preimage the caller will query; the
-    evaluator is assumed monotone on it.
+    evaluator is assumed monotone on it. Building the context runs ``abel``
+    at both bracket ends, under ``cfg.workprec()``, and keeps the two values
+    in ``_ends`` for every later inversion; an error there is raised here.
     """
 
     abel: Callable[[Scalar], Scalar]
     bracket: tuple
     tol: float = 1e-9
     cfg: PrecisionConfig = field(default_factory=PrecisionConfig)
+    _ends: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -43,6 +51,8 @@ class IterationContext:
         lo, hi = self.bracket
         if not lo < hi:
             raise ValueError("bracket must satisfy lo < hi")
+        with self.cfg.workprec():
+            object.__setattr__(self, "_ends", (self.abel(lo), self.abel(hi)))
 
 
 def exact_log_context(
@@ -80,12 +90,15 @@ def poly_abel_context(
 ) -> IterationContext:
     """Context for g(x) = b*(x+s) - s using the degree-n Abel polynomial.
 
-    The evaluator is the s-free approximant applied to z/s + 1, evaluated by
-    eval_log_poly's fixed-point Horner: its error stays below
-    2**(1 - bits - guard_bits) at every degree, and the working precision
-    exceeds bits + guard_bits + log2(n+1) only where |z/s + 1| > 1.
+    The evaluator is P_n(z/s + 1) - P_n(0), the s-free approximant without
+    its constant term, evaluated by eval_log_poly's fixed-point Horner: its
+    error stays below 2**(1 - bits - guard_bits) at every degree, and the
+    working precision exceeds bits + guard_bits + log2(n+1) only where
+    |z/s + 1| > 1. Dropping P_n(0) leaves the iterated function unchanged
+    and saves its exact sum, whose denominator has tens of thousands of bits
+    at n=300.
     """
-    poly = log_poly(p.b, n)
+    poly = LogApproxPoly(n, p.b, (0,) + _log_coeffs(p.b, n))
     s = p.s
 
     def abel(z):
@@ -97,6 +110,8 @@ def poly_abel_context(
 def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
     """f^[t](z) = abel^{-1}(t + abel(z)), found by Illinois steps to the context tolerance.
 
+    The residuals at the bracket ends are the context's stored values of
+    abel there minus the target, so abel runs at z and at secant points only.
     Each step evaluates abel at the secant point of the current bracket and
     keeps the end whose residual has the other sign; when the same end is
     kept twice in a row its residual is halved, which stops regula falsi
@@ -107,8 +122,7 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
     target = ctx.abel(z) + t
     with ctx.cfg.workprec():
         lo, hi = ctx.bracket
-        flo = ctx.abel(lo) - target
-        fhi = ctx.abel(hi) - target
+        flo, fhi = ctx._ends[0] - target, ctx._ends[1] - target
         if flo == 0:
             return lo
         if fhi == 0:

@@ -172,10 +172,15 @@ class TestLogPoly:
             lambda b: b not in (0, 1, -1)
         ),
         st.integers(1, 150),
-        st.fractions(min_value=-2, max_value=3, max_denominator=64),
+        st.one_of(
+            st.fractions(min_value=-2, max_value=3, max_denominator=64),
+            st.floats(min_value=-2, max_value=3, allow_nan=False, allow_infinity=False),
+        ),
     )
     def test_bigfloat_precision_contract(self, b, n, x):
-        # the configured bits hold whatever the degree, the sign of b or |x|
+        # the configured bits hold whatever the degree, the sign of b or |x|;
+        # floats give binary points with denominators up to 2**1074, where
+        # Horner shifts instead of dividing
         poly = log_poly(b, n)
         exact_val = eval_log_poly(poly, x, EXACT)
         big_val = as_fraction(eval_log_poly(poly, x, BIG))

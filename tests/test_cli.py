@@ -240,6 +240,9 @@ class TestScalarConversions:
             (("sweep", "--b", "2", "--s", "1", "--Ns", "3:1"), 1),
             (("logapprox", "--b", "1/2", "--n", "400", "--xs", "0.1,0.25,0.5,0.75,0.9",
               "--precision", "exact"), 0),
+            (("explore-exp", "--s", "709", "--N-max", "3", "--precision", "machine"), 1),
+            (("explore-exp", "--s", "50", "--N-max", "40", "--precision", "machine"), 1),
+            (("solve", "--b", "1e100", "--s", "1", "--N", "4", "--precision", "machine"), 1),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, want):

@@ -10,8 +10,10 @@ from abelsweep import (
     DomainError,
     IterationContext,
     PrecisionConfig,
+    eval_log_poly,
     exact_log_context,
     fractional_iterate,
+    log_poly,
     poly_abel_context,
     semigroup_check,
 )
@@ -20,15 +22,15 @@ BIG = PrecisionConfig("bigfloat", bits=128, guard_bits=64)
 MACHINE = PrecisionConfig("machine")
 
 
-def counting(ctx):
-    """ctx with its Abel evaluator wrapped by a call counter (a one-item list)."""
-    calls = [0]
+def recording(ctx):
+    """ctx rebuilt with its Abel evaluator recording each argument in a list."""
+    seen = []
 
     def abel(z):
-        calls[0] += 1
+        seen.append(z)
         return ctx.abel(z)
 
-    return dataclasses.replace(ctx, abel=abel), calls
+    return dataclasses.replace(ctx, abel=abel), seen
 
 
 @pytest.fixture
@@ -40,9 +42,9 @@ def doubling():
 class TestExactLogContext:
     def test_one_step_is_the_map(self, doubling):
         # the evaluation count guards the root search; bisection made 140
-        ctx, calls = counting(doubling)
+        ctx, seen = recording(doubling)
         assert abs(fractional_iterate(ctx, 1, 3) - 6) < 1e-9
-        assert calls[0] <= 48
+        assert len(seen) <= 48
 
     def test_half_step_is_sqrt_factor(self, doubling):
         got = fractional_iterate(doubling, F(1, 2), 1)
@@ -96,11 +98,34 @@ class TestPolynomialContext:
     def test_one_step_matches_direct_evaluation(self, halving):
         # README's example; the evaluation count guards the root search,
         # where bisection made 34
-        ctx, calls = counting(halving)
+        ctx, seen = recording(halving)
         got = fractional_iterate(ctx, 1, 0.3)
         want = 0.5 * (0.3 + 1) - 1  # -0.35
         assert abs(got - want) < 1e-3
-        assert calls[0] <= 16
+        assert len(seen) <= 16
+
+    def test_bracket_ends_evaluated_once_per_context(self, halving):
+        ctx, seen = recording(halving)
+        assert seen == [-0.95, 0.95]
+        seen.clear()
+        got = [fractional_iterate(ctx, t, 0.3) for t in (1, F(1, 2))]
+        assert seen and -0.95 not in seen and 0.95 not in seen
+        assert got == [fractional_iterate(halving, t, 0.3) for t in (1, F(1, 2))]
+
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("b", [F(1, 2), F(1, 3)])
+    def test_constant_term_does_not_move_iterates(self, b, n):
+        # the context drops P_n(0); an Abel function of the full P_n inverts
+        # to the same iterates, up to where each root search stops
+        p = AffineParams(b, F(1))
+        poly = log_poly(b, n)
+        full = IterationContext(
+            lambda z: eval_log_poly(poly, z / p.s + 1, BIG), (-0.95, 0.95), 1e-9, BIG
+        )
+        ctx = poly_abel_context(p, n, BIG, bracket=(-0.95, 0.95), tol=1e-9)
+        for t in (F(1, 4), 1, F(3, 2)):
+            for z in (F(-1, 2), 0, F(3, 10), F(4, 5)):
+                assert abs(fractional_iterate(ctx, t, z) - fractional_iterate(full, t, z)) < 1e-8
 
     def test_semigroup_deviation_small(self, halving):
         grid = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
@@ -118,12 +143,12 @@ class TestIllinoisSteps:
     def test_power_reaches_closed_form_root(self, k):
         # abel(z) = z**k is flat near 0 and steep near 1, where plain regula
         # falsi stalls at one end; bisection needs 43-45 evaluations here
-        ctx, calls = counting(IterationContext(abel=lambda z: z**k, bracket=(0, 1), tol=1e-12))
+        ctx, seen = recording(IterationContext(abel=lambda z: z**k, bracket=(0, 1), tol=1e-12))
         t, z = F(1, 4), F(1, 2)
         got = fractional_iterate(ctx, t, z)
         root = float(z**k + t) ** (1 / k)
         assert abs(got - root) <= 1e-12
-        assert calls[0] <= 16
+        assert len(seen) <= 16
 
     def test_no_sign_change_is_bracket_error(self):
         ctx = IterationContext(abel=lambda z: z**9, bracket=(0, 1), tol=1e-12)
