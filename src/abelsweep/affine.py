@@ -10,16 +10,17 @@ expose that sequence together with its remainder quantities.
 
 The log approximation's monomial coefficients alternate in sign and reach
 about 2**n, so they are carried exactly (Fractions over rational bases).
-Bigfloat evaluation runs Horner's rule in fixed point on Python integers,
-where those large terms cancel exactly and only the per-step truncations add
-up: the working precision grows with log2(n), and with n*log2|x| for
-|x| > 1, but not with the degree itself.
+Bigfloat and machine evaluation run Horner's rule in fixed point on Python
+integers, where those large terms cancel exactly and only the per-step
+truncations add up: the working precision grows with log2(n), and with
+n*log2|x| for |x| > 1, but not with the degree itself.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .scalars import (
     binomial,
     check_log_domain,
     check_not_root_of_unity,
+    ratio_to_float,
 )
 
 
@@ -140,7 +142,7 @@ class LogApproxPoly:
     and 5e-4 for b=1/3. ``iterate.poly_abel_context`` holds P_n - P_n(0)
     instead, with c_0 = 0: an Abel function needs no constant term.
 
-    ``_fixed`` memoizes the coefficients rounded for bigfloat evaluation:
+    ``_fixed`` memoizes the coefficients rounded for fixed-point evaluation:
     (G, (floor(c_0*2**G), ..., floor(c_n*2**G))) for the largest fraction-bit
     count G requested so far. Since floor(floor(c*2**G) / 2**(G-F)) equals
     floor(c*2**F), any F <= G reads its coefficients as shifts of these. It
@@ -157,15 +159,24 @@ class LogApproxPoly:
 def _log_coeffs(b, n: int) -> tuple:
     """c_1..c_n of P_n, with c_k = (-1)**k C(n,k) / (1 - b**k).
 
-    These alone fix P_n - P_n(0), which is all an Abel function needs.
+    These alone fix P_n - P_n(0), which is all an Abel function needs. For
+    a rational b = P/Q each coefficient is the one Fraction
+    (-1)**k C(n,k) Q**k / (Q**k - P**k), with C(n,k), P**k and Q**k carried
+    from k-1 to k; other scalars use the formula as written.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_not_root_of_unity(b, n)
+    if not isinstance(b, (int, Fraction)):
+        return tuple((-1) ** k * binomial(n, k) / (1 - b**k) for k in range(1, n + 1))
+    num, den = b.numerator, b.denominator
     coeffs = []
+    c, pk, qk = 1, 1, 1
     for k in range(1, n + 1):
-        c = binomial(n, k)
-        coeffs.append((c if k % 2 == 0 else -c) / (1 - b**k))
+        c = c * (n - k + 1) // k
+        pk *= num
+        qk *= den
+        coeffs.append(Fraction(c * qk if k % 2 == 0 else -c * qk, qk - pk))
     return tuple(coeffs)
 
 
@@ -187,42 +198,39 @@ def log_poly(b, n: int) -> LogApproxPoly:
 
 
 def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
-    """Horner evaluation; bigfloat mode runs it in fixed point on integers.
+    """Horner evaluation; the float modes run it in fixed point on integers.
 
-    Exact mode needs a rational x and returns a Fraction; machine mode is
-    plain float Horner. Bigfloat mode keeps x exact as p/q, rounds each
-    coefficient once down to an integer multiple of 2**-F, and runs
-    ``acc = acc*p // q + C_k`` on integers; when q = 2**k, as for every
-    float and mpf x, the floor division is the shift ``acc*p >> k``, with
-    the same result. The alternating terms of size up to 2**n cancel
-    exactly, and only the n+1 coefficient roundings and n floor divisions
-    (each below 2**-F) add up, amplified by at most max(1, |x|)**n. With
+    Exact mode needs a rational x and returns a Fraction. Bigfloat and
+    machine mode keep x exact as p/q, round each coefficient once down to an
+    integer multiple of 2**-F, and run ``acc = acc*p // q + C_k`` on
+    integers; when q = 2**k, as for every float and mpf x, the floor
+    division is the shift ``acc*p >> k``, with the same result. The
+    alternating terms of size up to 2**n cancel exactly, and only the n+1
+    coefficient roundings and n floor divisions (each below 2**-F) add up,
+    amplified by at most max(1, |x|)**n. With
     F = bits + guard_bits + ceil(n*log2|x|)_+ + bit_length(n+1) the error
-    is below 2**(1 - bits - guard_bits) before the result is rounded to an
-    mpf of F bits, whatever n and x are.
+    is below 2**(1 - bits - guard_bits), whatever n and x are. Bigfloat mode
+    returns the sum as an mpf of F bits. Machine mode takes bits = 53 and
+    rounds the sum once to the nearest float; a sum outside the float range
+    raises ValueError.
 
     The rounded coefficients are memoized on the polynomial at the largest F
     requested so far, G; a call at F <= G reads them as C_k >> (G - F),
     which is floor(c_k*2**F) exactly, so the memo never changes a result.
     """
+    xq = as_fraction(x)
     if cfg.exact:
-        xq = as_fraction(x)
         acc = Fraction(0)
         for c in reversed(pL.coeffs):
             acc = acc * xq + c
         return acc
-    if cfg.mode == "machine":
-        xf = cfg.scalar(x)
-        acc = 0.0
-        for c in reversed(pL.coeffs):
-            acc = acc * xf + cfg.scalar(c)
-        return acc
-    xq = as_fraction(x)
+    machine = cfg.mode == "machine"
     p, q = xq.numerator, xq.denominator
     # log2|x| from the exact integers: float(x) overflows for huge x
     growth = math.log2(abs(p)) - math.log2(q) if p else 0.0
     frac_bits = (
-        cfg.bits + cfg.guard_bits + max(0, math.ceil(pL.n * growth)) + (pL.n + 1).bit_length()
+        (sys.float_info.mant_dig if machine else cfg.bits)
+        + cfg.guard_bits + max(0, math.ceil(pL.n * growth)) + (pL.n + 1).bit_length()
     )
     fixed_bits, fixed = pL._fixed
     if fixed_bits < frac_bits:
@@ -239,6 +247,8 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
         k = q.bit_length() - 1
         for c in reversed(fixed):
             acc = (acc * p >> k) + (c >> shift)
+    if machine:
+        return ratio_to_float(acc, 1 << frac_bits)
     return mpmath.mpf((acc, -frac_bits), prec=frac_bits)
 
 

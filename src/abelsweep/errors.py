@@ -6,6 +6,8 @@ to I/O or configuration mistakes); the CLI maps them to exit code 2.
 
 from __future__ import annotations
 
+import mpmath
+
 
 class DomainError(Exception):
     """A mathematically invalid request (bad base, bad shift, singular system)."""
@@ -40,12 +42,21 @@ class SingularSystemError(DomainError):
 
 
 class BracketError(DomainError):
-    """Numerical inversion failed: no sign change over the supplied bracket."""
+    """Numerical inversion failed: no sign change over the supplied bracket.
 
-    def __init__(self, lo, hi, target):
+    ``reach`` is the range of t that the bracket ends reach from z,
+    abel(lo) - abel(z) and abel(hi) - abel(z) in increasing order. It does
+    not depend on the Abel function's free additive constant.
+    """
+
+    def __init__(self, lo, hi, t, z, reach):
         self.lo = lo
         self.hi = hi
-        self.target = target
+        self.t = t
+        self.z = z
+        self.reach = tuple(sorted(reach))
+        tmin, tmax = (mpmath.nstr(r, 6) for r in self.reach)
         super().__init__(
-            f"no sign change for target {target} on bracket [{lo}, {hi}]"
+            f"no sign change on bracket [{lo}, {hi}] for t={mpmath.nstr(t, 6)} at "
+            f"z={mpmath.nstr(z, 6)}: from z the bracket reaches t in [{tmin}, {tmax}]"
         )

@@ -1,13 +1,15 @@
 """Fractional iteration f^[t](z) through an Abel-function evaluator.
 
 Given any evaluator of an Abel function, the t-th iterate is the inverse
-image of t + abel(z). Inversion runs Illinois steps (Dowell & Jarratt, BIT 11
-(1971) 168-174) on a user-supplied monotone bracket: secant points of the
+image of t + abel(z). Inversion runs Pegasus steps (Dowell & Jarratt, BIT 12
+(1972) 503-508) on a user-supplied monotone bracket: secant points of the
 current bracket, with the function value at an end kept twice in a row
-halved. Like bisection it needs only function values and keeps the root
-bracketed, but it converges superlinearly, so each iterate costs about ten
-Abel evaluations instead of one per bit. The values at the bracket ends do
-not depend on the query, so a context computes them once, when it is built.
+scaled by f_prev/(f_prev + f_new), the residuals at the replaced end before
+and after the step. Like bisection it needs only function values and keeps
+the root bracketed, but it converges superlinearly, so each iterate costs
+about nine Abel evaluations instead of one per bit. The values at the
+bracket ends do not depend on the query, so a context computes them once,
+when it is built.
 
 An Abel function is fixed only up to an additive constant, and the inverse
 of t + abel(z) does not see it: the polynomial context evaluates
@@ -108,18 +110,25 @@ def poly_abel_context(
 
 
 def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
-    """f^[t](z) = abel^{-1}(t + abel(z)), found by Illinois steps to the context tolerance.
+    """f^[t](z) = abel^{-1}(t + abel(z)), found by Pegasus steps to the context tolerance.
 
     The residuals at the bracket ends are the context's stored values of
     abel there minus the target, so abel runs at z and at secant points only.
     Each step evaluates abel at the secant point of the current bracket and
     keeps the end whose residual has the other sign; when the same end is
-    kept twice in a row its residual is halved, which stops regula falsi
-    from stalling at one end. The secant weight is rounded to a float, so a
-    float (or int, or Fraction) bracket gives float points and an mpf
-    bracket mpf points.
+    kept twice in a row its residual is scaled by f_prev/(f_prev + f_new),
+    where f_prev and f_new are the residuals of the end the step replaced
+    and of the new point. That stops regula falsi from stalling at one end;
+    unlike the Illinois rule's constant 1/2, the factor stays near 1 while
+    the steps shrink the residual fast. The secant weight is rounded to a
+    float, so a float (or int, or Fraction) bracket gives float points and
+    an mpf bracket mpf points.
+
+    BracketError when t + abel(z) is not between the values at the bracket
+    ends; it names t, z and the range of t that the bracket reaches from z.
     """
-    target = ctx.abel(z) + t
+    az = ctx.abel(z)
+    target = az + t
     with ctx.cfg.workprec():
         lo, hi = ctx.bracket
         flo, fhi = ctx._ends[0] - target, ctx._ends[1] - target
@@ -128,7 +137,7 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
         if fhi == 0:
             return hi
         if sign(flo) == sign(fhi):
-            raise BracketError(lo, hi, target)
+            raise BracketError(lo, hi, t, z, (ctx._ends[0] - az, ctx._ends[1] - az))
         kept = 0  # -1: lo was kept by the last step, 1: hi was
         for _ in range(_MAX_STEPS):
             mid = lo + (hi - lo) * float(flo / (flo - fhi))
@@ -138,14 +147,14 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
             if abs(fmid) <= ctx.tol:
                 return mid
             if sign(fmid) == sign(flo):
-                lo, flo = mid, fmid
                 if kept == 1:
-                    fhi = fhi / 2
+                    fhi = fhi * flo / (flo + fmid)
+                lo, flo = mid, fmid
                 kept = 1
             else:
-                hi, fhi = mid, fmid
                 if kept == -1:
-                    flo = flo / 2
+                    flo = flo * fhi / (fhi + fmid)
+                hi, fhi = mid, fmid
                 kept = -1
     raise DomainError(
         f"root search exhausted on [{ctx.bracket[0]}, {ctx.bracket[1]}] "

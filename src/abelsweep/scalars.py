@@ -12,7 +12,8 @@ gives the exact value of a str ("p/q", decimal or integer literal), int,
 float, Fraction or mpf. ``PrecisionConfig.scalar`` is ``as_fraction``
 followed by the mode's one rounding: none (exact), to the nearest float
 (machine), or to an mpf at ``bits`` (bigfloat). ``parse_rational`` is
-another name for ``as_fraction``.
+another name for ``as_fraction``. ``ratio_to_float`` is machine mode's
+rounding, which ``affine.eval_log_poly`` also applies to its fixed-point sum.
 """
 
 from __future__ import annotations
@@ -77,10 +78,7 @@ class PrecisionConfig:
         if self.mode == "exact":
             return q
         if self.mode == "machine":
-            try:
-                return q.numerator / q.denominator
-            except OverflowError:
-                raise ValueError("a value is outside the float range of machine precision") from None
+            return ratio_to_float(q.numerator, q.denominator)
         with mp.workprec(self.bits):
             return mpmath.mpf(q.numerator) / q.denominator
 
@@ -123,6 +121,17 @@ def as_fraction(x) -> Fraction:
 parse_rational = as_fraction
 
 
+def ratio_to_float(p: int, q: int) -> float:
+    """p/q for integers p and q > 0, rounded once to the nearest float.
+
+    ValueError when the result is outside the float range.
+    """
+    try:
+        return p / q
+    except OverflowError:
+        raise ValueError("a value is outside the float range of machine precision") from None
+
+
 def sign(x) -> int:
     """-1, 0 or 1 by comparison with 0, in any real scalar type."""
     return (x > 0) - (x < 0)
@@ -148,18 +157,21 @@ def binomial(n: int, k: int) -> int:
 def check_not_root_of_unity(b, max_k: int) -> None:
     """Raise RootOfUnityError if b**k == 1 for some 1 <= k <= max_k.
 
-    Exact scalars compare exactly; float scalars use |b**k - 1| < 1e-12 so
+    An int or Fraction b is answered without powers: the only rational
+    roots of unity are 1, first at k=1, and -1, first at k=2. Float, mpf
+    and complex scalars loop over the powers and use |b**k - 1| < 1e-12, so
     the failure is reproducible rather than precision-dependent.
     """
     from .errors import RootOfUnityError
 
-    exact = isinstance(b, (int, Fraction))
+    if isinstance(b, (int, Fraction)):
+        k = 1 if b == 1 else 2 if b == -1 else None
+        if k is not None and k <= max_k:
+            raise RootOfUnityError(b, k)
+        return
     p = b
     for k in range(1, max_k + 1):
-        if exact:
-            if p == 1:
-                raise RootOfUnityError(b, k)
-        elif abs(p - 1) < ROOT_OF_UNITY_TOL:
+        if abs(p - 1) < ROOT_OF_UNITY_TOL:
             raise RootOfUnityError(b, k)
         p = p * b
 

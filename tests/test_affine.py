@@ -27,12 +27,14 @@ from abelsweep import (
     s_invariance_gap,
     solve_truncated,
 )
+from abelsweep.affine import _log_coeffs
 from abelsweep.scalars import as_fraction
 
 from conftest import small_rationals
 
 EXACT = PrecisionConfig("exact")
 BIG = PrecisionConfig("bigfloat", bits=128, guard_bits=64)
+MACHINE = PrecisionConfig("machine")
 
 BASES = (F(2), F(1, 2), F(3), F(-2))
 SHIFTS = (F(1), F(2))
@@ -153,6 +155,21 @@ class TestLogPoly:
                 want = sum(1 - (1 - b**i) ** n for i in range(m))
                 assert eval_log_poly(poly, b**m, EXACT) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(
+            lambda b: b not in (1, -1)
+        ),
+        st.integers(1, 200),
+    )
+    def test_coefficients_match_the_fraction_formula(self, b, n):
+        # the integer recurrences build each c_k as one Fraction; the
+        # formula as written is the reference, term by term
+        want = tuple((-1) ** k * math.comb(n, k) / (1 - b**k) for k in range(1, n + 1))
+        got = _log_coeffs(b, n)
+        assert got == want
+        assert all(type(c) is F for c in got)
+
     def test_root_of_unity_rejected(self):
         with pytest.raises(RootOfUnityError):
             log_poly(F(1), 3)
@@ -185,6 +202,10 @@ class TestLogPoly:
         exact_val = eval_log_poly(poly, x, EXACT)
         big_val = as_fraction(eval_log_poly(poly, x, BIG))
         assert abs(big_val - exact_val) <= F(1, 2**BIG.bits) * max(1, abs(exact_val))
+        # machine mode: the same fixed point at 53 bits, rounded once to a float
+        machine_val = eval_log_poly(poly, x, MACHINE)
+        assert type(machine_val) is float
+        assert abs(as_fraction(machine_val) - exact_val) <= F(1, 2**52) * max(1, abs(exact_val))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -241,8 +262,14 @@ class TestLogPoly:
 
     def test_machine_mode_small_degree(self):
         poly = log_poly(F(1, 2), 12)
-        v = eval_log_poly(poly, 0.5, PrecisionConfig("machine"))
+        v = eval_log_poly(poly, 0.5, MACHINE)
         assert v == pytest.approx(1.0, abs=1e-9)
+
+    def test_machine_mode_out_of_float_range(self):
+        # about 10**2000: the fixed-point sum does not round to a float
+        poly = log_poly(F(1, 2), 5)
+        with pytest.raises(ValueError, match="machine precision"):
+            eval_log_poly(poly, F(10**400, 3), MACHINE)
 
 
 class TestOnpow:

@@ -166,16 +166,29 @@ class TestReports:
         assert abs(float(v) - 6) < 1e-6
 
     def test_iterate_polynomial_readme_example(self, capsys):
-        code, out, _ = run(
+        for precision in ("bits:128", "machine"):
+            code, out, _ = run(
+                capsys,
+                "iterate", "--b", "1/2", "--s", "1", "--n", "200",
+                "--bracket", "-0.95:0.95", "--t", "1", "--z", "0.3", "--precision", precision,
+            )
+            assert code == 0
+            t, z, v = out.strip().split("\n")[1].split(",")
+            assert (t, z) == ("1", "3/10")
+            # closed form b**t * (z + s) - s
+            assert abs(float(v) - (-0.35)) < 1e-3
+
+    def test_iterate_bracket_miss_names_the_reachable_range(self, capsys):
+        code, out, err = run(
             capsys,
-            "iterate", "--b", "1/2", "--s", "1", "--n", "200",
-            "--bracket", "-0.95:0.95", "--t", "1", "--z", "0.3",
+            "iterate", "--b", "2", "--s", "1", "--n", "30",
+            "--bracket=0:5", "--t", "1/2", "--z", "1",
         )
-        assert code == 0
-        t, z, v = out.strip().split("\n")[1].split(",")
-        assert (t, z) == ("1", "3/10")
-        # closed form b**t * (z + s) - s
-        assert abs(float(v) - (-0.35)) < 1e-3
+        assert code == 2 and not out
+        assert err.startswith("domain error:") and len(err.strip().split("\n")) == 1
+        # t, z and the bracket, not t + abel(z), which holds P_n's free constant
+        assert "[0.0, 5.0] for t=0.5 at z=1.0" in err
+        assert "reaches t in [" in err and "6.76" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -104,6 +104,17 @@ class TestPolynomialContext:
         assert abs(got - want) < 1e-3
         assert len(seen) <= 16
 
+    def test_mean_evaluations_per_iterate(self, halving):
+        # Pegasus steps average 8.91 here; Illinois steps took 9.74
+        ctx, seen = recording(halving)
+        seen.clear()  # the bracket ends, evaluated when the context is rebuilt
+        iterates = 0
+        for t in (F(1, 4), F(1, 2), 1, F(3, 2)):
+            for k in range(-10, 17):
+                fractional_iterate(ctx, t, F(k, 20))
+                iterates += 1
+        assert len(seen) / iterates <= 9.0
+
     def test_bracket_ends_evaluated_once_per_context(self, halving):
         ctx, seen = recording(halving)
         assert seen == [-0.95, 0.95]
@@ -136,6 +147,24 @@ class TestPolynomialContext:
             # far outside the invertible range of the polynomial
             fractional_iterate(halving, -40, 0.3)
         assert err.value.lo == -0.95 and err.value.hi == 0.95
+        assert (err.value.t, err.value.z) == (-40, 0.3)
+        # log_{1/2}(1.95/1.3) and log_{1/2}(0.05/1.3), up to P_n's error
+        tmin, tmax = err.value.reach
+        assert abs(tmin + math.log2(1.5)) < 1e-3 and abs(tmax - math.log2(26)) < 1e-3
+        assert "t=-40 at z=0.3" in str(err.value) and "[-0.95, 0.95]" in str(err.value)
+
+    def test_bracket_failure_is_free_of_the_additive_constant(self, halving):
+        # an Abel function of the full P_n reports the same reachable range
+        poly = log_poly(F(1, 2), 200)
+        full = IterationContext(
+            lambda z: eval_log_poly(poly, z + 1, BIG), (-0.95, 0.95), 1e-9, BIG
+        )
+        reach = []
+        for ctx in (halving, full):
+            with pytest.raises(BracketError) as err:
+                fractional_iterate(ctx, 5, 0.3)
+            reach.append(err.value.reach)
+        assert all(abs(u - v) < 1e-20 for u, v in zip(*reach))
 
 
 class TestIllinoisSteps:

@@ -92,6 +92,25 @@ class TestRootOfUnity:
             check_not_root_of_unity(1j, 4)
         check_not_root_of_unity(1j, 3)
 
+    @pytest.mark.parametrize("max_k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("b", [1, -1, F(1), F(-1), 2, F(1, 3)])
+    def test_rational_shortcut_matches_the_power_loop(self, b, max_k):
+        def power_loop():
+            p = b
+            for k in range(1, max_k + 1):
+                if p == 1:
+                    raise RootOfUnityError(b, k)
+                p = p * b
+
+        def raised(check):
+            try:
+                check()
+            except RootOfUnityError as exc:
+                return type(exc.b), exc.b, exc.k, str(exc)
+            return None
+
+        assert raised(lambda: check_not_root_of_unity(b, max_k)) == raised(power_loop)
+
 
 class TestAsFraction:
     def test_mpf_is_lossless(self):
