@@ -8,12 +8,17 @@ to it: P_n(x) - log_b(x) has a part log-periodic in n that does not decay,
 about 3e-6 at most on [b, 1] for b=1/2 and 5e-4 for b=1/3. The helpers below
 expose that sequence together with its remainder quantities.
 
-The log approximation's monomial coefficients alternate in sign and reach
-about 2**n, so they are carried exactly (Fractions over rational bases).
-Bigfloat and machine evaluation run Horner's rule in fixed point on Python
-integers, where those large terms cancel exactly and only the per-step
-truncations add up: the working precision grows with log2(n), and with
-n*log2|x| for |x| > 1, but not with the degree itself.
+The closed forms are rational in b and s and compute in Fractions only,
+on the exact value of their real inputs (``scalars.as_fraction``, which
+refuses any other), and a float-mode caller rounds each result once: their
+alternating binomial sums cancel from terms of about 2**n to O(1), which
+float arithmetic would not survive. Only the root-of-unity check sees b as
+given, so a float b within 1e-12 of a root of unity is still refused.
+Bigfloat and machine evaluation of P_n run Horner's rule in fixed point on
+Python integers, where its coefficients of size up to about 2**n cancel
+exactly and only the per-step truncations add up: the working precision
+grows with log2(n), and with n*log2|x| for |x| > 1, but not with the degree
+itself.
 """
 
 from __future__ import annotations
@@ -40,25 +45,21 @@ from .scalars import (
 )
 
 
-def _normalize(b):
-    return Fraction(b) if isinstance(b, int) else b
-
-
 @dataclass(frozen=True)
 class AffineParams:
     """Base b and development point s of the conjugated map b*(x+s) - s.
 
     s must be nonzero (the map developed at its fixpoint has an unsolvable
     first equation). b must not be a root of unity; that is checked lazily,
-    up to whatever order an operation actually uses.
+    up to whatever order an operation actually uses. Ints become Fractions.
     """
 
     b: Scalar
     s: Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _normalize(self.b))
-        object.__setattr__(self, "s", _normalize(self.s))
+        object.__setattr__(self, "b", as_fraction(self.b) if isinstance(self.b, int) else self.b)
+        object.__setattr__(self, "s", as_fraction(self.s) if isinstance(self.s, int) else self.s)
         if self.s == 0:
             raise ZeroShiftError()
 
@@ -81,16 +82,14 @@ def affine_series(p: AffineParams, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # solution coefficients
 
-# keyed (b, m) -> {k: value}, for Fraction b only: float and mpf values depend
-# on the mode and the working precision, which the key does not record. Fills
-# are idempotent and values immutable, so concurrent callers at worst
-# recompute an entry
+# keyed (b, m) -> {k: value} with b the exact base. Fills are idempotent and
+# values immutable, so concurrent callers at worst recompute an entry
 _REC_CACHE: dict = {}
 
 
-def _scaled_beta(b, n: int, m: int):
-    """s**m * beta^(n)_m, which is s-free; filled iteratively over n, memoized for Fraction b."""
-    cache = _REC_CACHE.setdefault((b, m), {}) if isinstance(b, Fraction) else {}
+def _scaled_beta(b: Fraction, n: int, m: int) -> Fraction:
+    """s**m * beta^(n)_m, which is s-free; filled iteratively over n and memoized."""
+    cache = _REC_CACHE.setdefault((b, m), {})
     for k in range(m, n + 1):
         if k in cache:
             continue
@@ -101,31 +100,30 @@ def _scaled_beta(b, n: int, m: int):
     return cache[n]
 
 
-def beta_recurrence(p: AffineParams, n: int, m: int) -> Scalar:
-    """beta^(n)_m via the triangular recursion, memoized over the lower degrees."""
+def beta_recurrence(p: AffineParams, n: int, m: int) -> Fraction:
+    """beta^(n)_m via the triangular recursion, memoized over the lower degrees; a Fraction."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     p.ensure_order(n)
-    return _scaled_beta(p.b, n, m) / p.s**m
+    return _scaled_beta(as_fraction(p.b), n, m) / as_fraction(p.s) ** m
 
 
-def beta_direct(p: AffineParams, n: int, m: int) -> Scalar:
-    """beta^(n)_m by the direct alternating sum over binomial products."""
+def beta_direct(p: AffineParams, n: int, m: int) -> Fraction:
+    """beta^(n)_m by the direct alternating sum over binomial products; a Fraction."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     p.ensure_order(n)
-    b = p.b
+    b = as_fraction(p.b)
     acc = 0
     for k in range(m, n + 1):
         term = binomial(n, k) * binomial(k, m)
         acc = acc + (term if k % 2 == 0 else -term) / (1 - b**k)
-    return acc / p.s**m
+    return acc / as_fraction(p.s) ** m
 
 
-def beta_polynomial(p: AffineParams, n: int, method: str = "direct") -> TruncatedSeries:
-    """The degree-n solution polynomial beta^(n) as a truncated series at 0."""
-    fn = beta_direct if method == "direct" else beta_recurrence
-    coeffs = (p.d * 0,) + tuple(fn(p, n, m) for m in range(1, n + 1))
+def beta_polynomial(p: AffineParams, n: int) -> TruncatedSeries:
+    """The degree-n solution polynomial beta^(n) as a truncated series at 0, in Fractions."""
+    coeffs = (Fraction(0),) + tuple(beta_direct(p, n, m) for m in range(1, n + 1))
     return TruncatedSeries(coeffs, 0)
 
 
@@ -157,18 +155,18 @@ class LogApproxPoly:
 
 
 def _log_coeffs(b, n: int) -> tuple:
-    """c_1..c_n of P_n, with c_k = (-1)**k C(n,k) / (1 - b**k).
+    """c_1..c_n of P_n, with c_k = (-1)**k C(n,k) / (1 - b**k), as exact Fractions.
 
-    These alone fix P_n - P_n(0), which is all an Abel function needs. For
-    a rational b = P/Q each coefficient is the one Fraction
-    (-1)**k C(n,k) Q**k / (Q**k - P**k), with C(n,k), P**k and Q**k carried
-    from k-1 to k; other scalars use the formula as written.
+    These alone fix P_n - P_n(0), which is all an Abel function needs. The
+    root-of-unity check runs on b as given; then b = P/Q is its exact value
+    (``as_fraction``, ValueError if b is not real), and each coefficient is
+    the one Fraction (-1)**k C(n,k) Q**k / (Q**k - P**k), with C(n,k), P**k
+    and Q**k carried from k-1 to k.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_not_root_of_unity(b, n)
-    if not isinstance(b, (int, Fraction)):
-        return tuple((-1) ** k * binomial(n, k) / (1 - b**k) for k in range(1, n + 1))
+    b = as_fraction(b)
     num, den = b.numerator, b.denominator
     coeffs = []
     c, pk, qk = 1, 1, 1
@@ -183,18 +181,17 @@ def _log_coeffs(b, n: int) -> tuple:
 def log_poly(b, n: int) -> LogApproxPoly:
     """Coefficients of sum_k C(n,k) (-1)^(k+1) (1 - x**k) / (1 - b**k).
 
-    Exact (Fraction) when b is rational; the constant term is minus the sum
-    of the others. It is summed pairwise: the exact denominators grow with
-    every term, and a balanced sum keeps the operands of most additions
-    small.
+    Fractions for the exact value of b, which the polynomial keeps as its b.
+    The constant term is minus the sum of the others. It is summed pairwise:
+    the exact denominators grow with every term, and a balanced sum keeps
+    the operands of most additions small.
     """
-    b = _normalize(b)
     coeffs = _log_coeffs(b, n)
     terms = list(coeffs)
     while len(terms) > 1:
         pairs = [u + v for u, v in zip(terms[::2], terms[1::2])]
         terms = pairs + terms[2 * len(pairs):]
-    return LogApproxPoly(n, b, (-terms[0],) + coeffs)
+    return LogApproxPoly(n, as_fraction(b), (-terms[0],) + coeffs)
 
 
 def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
@@ -269,8 +266,8 @@ def reference_log(b, x, bits: int = 256):
 # identities and remainder diagnostics
 
 def onpow_identity(n: int, y) -> tuple:
-    """Both sides of sum_k C(n,k)(-1)^(k+1) y**k == 1 - (1-y)**n."""
-    y = _normalize(y)
+    """Both sides of sum_k C(n,k)(-1)^(k+1) y**k == 1 - (1-y)**n; Fractions."""
+    y = as_fraction(y)
     lhs = 0
     for k in range(1, n + 1):
         c = binomial(n, k)
@@ -279,9 +276,9 @@ def onpow_identity(n: int, y) -> tuple:
     return lhs, rhs
 
 
-def remainder(n: int, j: int, b) -> Scalar:
-    """R^(n)_j = sum_i C(j,i) (-1)^(j-i) (1 - b**i)**n."""
-    b = _normalize(b)
+def remainder(n: int, j: int, b) -> Fraction:
+    """R^(n)_j = sum_i C(j,i) (-1)^(j-i) (1 - b**i)**n; a Fraction."""
+    b = as_fraction(b)
     acc = 0
     for i in range(j + 1):
         c = binomial(j, i)
@@ -290,9 +287,9 @@ def remainder(n: int, j: int, b) -> Scalar:
     return acc
 
 
-def remainder_bound(j: int, n: int, b) -> Scalar:
-    """d_{j,n} = sum_i C(j,i) |1 - b**i|**n, the majorant of |R^(n)_j|."""
-    b = _normalize(b)
+def remainder_bound(j: int, n: int, b) -> Fraction:
+    """d_{j,n} = sum_i C(j,i) |1 - b**i|**n, the majorant of |R^(n)_j|; a Fraction."""
+    b = as_fraction(b)
     acc = 0
     for i in range(j + 1):
         acc = acc + binomial(j, i) * abs(1 - b**i) ** n
@@ -340,16 +337,17 @@ def s_invariance_gap(
 
     Evaluates the same degree-n polynomial at x/p2.s and x/p1.s over the
     grid, takes the pointwise difference, and reports the median together
-    with the maximum deviation from that median.
+    with the maximum deviation from that median. The points x/s are exact
+    Fractions of the exact x and s; only the evaluations round, in cfg's mode.
     """
     if p1.b != p2.b:
         raise ValueError("both parameter sets must share the base b")
     poly = log_poly(p1.b, n)
+    s1, s2 = as_fraction(p1.s), as_fraction(p2.s)
     with cfg.workprec(n + cfg.guard_bits):
         gaps = []
-        for x in xs:
-            x = _normalize(x)
-            g = eval_log_poly(poly, x / p2.s, cfg) - eval_log_poly(poly, x / p1.s, cfg)
+        for x in map(as_fraction, xs):
+            g = eval_log_poly(poly, x / s2, cfg) - eval_log_poly(poly, x / s1, cfg)
             gaps.append(g)
         med = statistics.median(gaps)
         deviation = max(abs(g - med) for g in gaps)

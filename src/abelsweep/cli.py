@@ -201,19 +201,18 @@ def _render_sweep(report, fmt: str, cfg: PrecisionConfig) -> str:
 
 def _cmd_affine(args) -> str:
     cfg = args.precision
-    p = AffineParams(cfg.scalar(args.b), cfg.scalar(args.s))
+    p = AffineParams(args.b, args.s)  # exact; the system column solves the rounded map
     p.ensure_order(args.n)
     methods = ["direct", "recurrence", "system"] if args.method == "all" else [args.method]
     columns: dict[str, list] = {}
-    with cfg.workprec():
-        for method in methods:
-            if method == "system":
-                vec = solve_truncated(abel_system(affine_series(p, args.n), args.n))
-            elif method == "recurrence":
-                vec = [beta_recurrence(p, args.n, m) for m in range(1, args.n + 1)]
-            else:
-                vec = [beta_direct(p, args.n, m) for m in range(1, args.n + 1)]
-            columns[method] = [format_scalar(v, cfg.dps) for v in vec]
+    for method in methods:
+        if method == "system":
+            with cfg.workprec():
+                vec = solve_truncated(abel_system(_affine_input(args, cfg, args.n), args.n))
+        else:
+            beta = beta_recurrence if method == "recurrence" else beta_direct
+            vec = [cfg.scalar(beta(p, args.n, m)) for m in range(1, args.n + 1)]
+        columns[method] = [format_scalar(v, cfg.dps) for v in vec]
     if args.format == "json":
         return _json({"n": args.n, "coefficients": columns})
     header = ["m"] + methods

@@ -80,8 +80,6 @@ def exact_log_context(
         zv = cfg.scalar(z)
         check_log_domain(bv, zv, "z")
         with cfg.workprec():
-            if cfg.mode == "machine":
-                return log(zv) / lb - ls / lb
             return (log(zv) - ls) / lb
 
     return IterationContext(abel, bracket or (1e-30, 1e30), tol, cfg=cfg)

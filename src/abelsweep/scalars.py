@@ -1,11 +1,14 @@
 """Scalar abstraction: one code path, three kinds of numbers.
 
-Every algorithm in this package is written against plain arithmetic
+The series, Bell-matrix and solver code is written against plain arithmetic
 (``+ - * /``) so that it runs unchanged over
 
 * ``fractions.Fraction`` -- the exact mode, used as test oracle,
 * ``mpmath.mpf`` -- configurable-precision floats, the workhorse,
 * ``float`` -- machine precision, for quick looks at small sizes.
+
+The affine closed forms do not: they compute in Fractions only, and their
+float-mode callers round each result once.
 
 Every change of scalar type goes through two functions. ``as_fraction``
 gives the exact value of a str ("p/q", decimal or integer literal), int,

@@ -106,14 +106,14 @@ class TestBetaValues:
             want = tuple(beta_direct(p, n, m) for m in range(1, n + 1))
             assert solve_truncated(abel_system(g, n)) == want
 
-    def test_complex_base_accepted(self):
-        p = AffineParams(2j, 1.0)
-        v = beta_direct(p, 3, 2)
-        w = beta_recurrence(p, 3, 2)
-        assert abs(v - w) < 1e-12
+    def test_complex_base_refused(self):
+        # the closed forms take the exact value of a real base
+        with pytest.raises(ValueError):
+            beta_direct(AffineParams(2j, 1.0), 3, 2)
 
     def test_recurrence_memo_keeps_exact_apart_from_float(self):
-        # 0.125 == F(1, 8) and both hash alike, so a float fill must not answer
+        # 0.125 == F(1, 8): float and Fraction bases share one exact key, and
+        # the entry is a Fraction whichever type filled it
         beta_recurrence(AffineParams(0.125, 1), 6, 1)
         got = beta_recurrence(AffineParams(F(1, 8), 1), 6, 1)
         assert type(got) is F and got == F(-2576862544, 5317395993)
@@ -169,6 +169,12 @@ class TestLogPoly:
         got = _log_coeffs(b, n)
         assert got == want
         assert all(type(c) is F for c in got)
+
+    @pytest.mark.parametrize("n", [40, 200, 1100])
+    def test_float_base_gives_the_exact_polynomial(self, n):
+        # a float base runs in Fractions of its binary value: float
+        # coefficients lose the cancellation, and overflow at n=1100
+        assert log_poly(0.5, n).coeffs == log_poly(F(1, 2), n).coeffs
 
     def test_root_of_unity_rejected(self):
         with pytest.raises(RootOfUnityError):

@@ -1,9 +1,12 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from abelsweep import AffineParams, PrecisionConfig, beta_direct
 from abelsweep.cli import main
+from abelsweep.scalars import format_scalar
 
 
 def run(capsys, *argv):
@@ -89,6 +92,26 @@ class TestSolveAndAffine:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert rows[0] == ["1", "4/3", "4/3", "4/3"]
         assert rows[1] == ["2", "-1/3", "-1/3", "-1/3"]
+
+    @pytest.mark.parametrize(
+        "precision,cfg",
+        [
+            ("bits:64", PrecisionConfig("bigfloat", bits=64)),
+            ("machine", PrecisionConfig("machine")),
+        ],
+    )
+    def test_affine_closed_forms_round_the_exact_value_once(self, capsys, precision, cfg):
+        # the alternating sums cancel from terms near 2**60 to O(1), which
+        # float arithmetic at 53 or 64 bits would not survive
+        code, out, _ = run(
+            capsys, "affine", "--b", "1/3", "--s", "1", "--n", "60",
+            "--method", "all", "--precision", precision,
+        )
+        assert code == 0
+        p = AffineParams(F(1, 3), F(1))
+        for m, line in enumerate(out.strip().split("\n")[1:], start=1):
+            want = format_scalar(cfg.scalar(beta_direct(p, 60, m)), cfg.dps)
+            assert line.split(",")[1:3] == [want, want], m
 
     def test_solve_exact_json(self, capsys):
         code, out, _ = run(
@@ -394,3 +417,29 @@ class TestDeterminism:
         code2, out, _ = run(capsys, "matrix", "--b", "2", "--s", "1", "--N", "3")
         assert code == code2 == 0
         assert target.read_text() == out
+
+
+class TestExactGoldenBytes:
+    """Exact-mode stdout is pinned by its SHA-256: no change may alter a byte of it."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("matrix --b 2 --s 1 --N 4 --precision exact",
+             "a8b54df613bc1e8b8be874e3854d58ee9343e405db251f42166cc1ea3355e6fb"),
+            ("sweep --b 2 --s 1 --Ns 1:16 --precision exact",
+             "b8d4907864603ce5b7a7cd583fb37cd8262aa7e997bdf6b492bc49f5285f858f"),
+            ("affine --b 2 --s 1 --n 16 --method all",
+             "cc9c28ba1721cbaecce445aa8f3e5c9018ec555b12932f905ee988427540bf0e"),
+            ("affine --b 1/3 --s -1 --n 24 --method all --precision exact",
+             "61006f6d5b2a95cc974afde56d8e70ab228eb91c713d5355473b677def4f4e0a"),
+            ("logapprox --b 1/2 --n 20 --xs 1/2,1/4,1/8,1/16,1/32 --precision exact",
+             "64d0dc71d411d9f8d52b20532eddcbf9cb5714759d14d40fcaa2399a38ea0dc4"),
+            ("explore-exp --N-max 12 --precision exact",
+             "ebf34a937ea93b5911fa9ba3d6bc9ebfa562ec74e80d761f163fc83653bf76a5"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
