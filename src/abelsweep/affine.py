@@ -5,15 +5,19 @@ recurrence obtained by triangularizing the system, and a direct alternating
 binomial sum. Summing the solution polynomial against powers of x/s yields an
 s-free polynomial sequence P_n that approximates log_b but does not converge
 to it: P_n(x) - log_b(x) has a part log-periodic in n that does not decay,
-about 3e-6 at most on [b, 1] for b=1/2 and 5e-4 for b=1/3. The helpers below
-expose that sequence together with its remainder quantities.
+about 3e-6 at most on [b, 1] for b=1/2 and 5e-4 for b=1/3. Nor does
+beta^(N)_1 settle at 1/(s ln b): it oscillates in log_b N with an amplitude
+tending to 2|Gamma(1 + 2 pi i/ln b)|/(|s| ln b) (at s=1, 1.43e-5 for b=2 and
+1.37e-3 for b=3; peaks over 100 <= N <= 800 reach 2.03e-5 and 1.58e-3), so
+an N-sweep of this map rightly reports drifting coefficients.
 
-The closed forms are rational in b and s and compute in Fractions only,
-on the exact value of their real inputs (``scalars.as_fraction``, which
-refuses any other), and a float-mode caller rounds each result once: their
-alternating binomial sums cancel from terms of about 2**n to O(1), which
-float arithmetic would not survive. Only the root-of-unity check sees b as
-given, so a float b within 1e-12 of a root of unity is still refused.
+The closed forms compute in Fractions (the recurrence over integers with one
+running denominator) on the exact value of their real inputs
+(``scalars.as_fraction``, which refuses any other), and a float-mode caller
+rounds each result once: their alternating binomial sums cancel from terms
+of about 2**n to O(1), which float arithmetic would not survive. Only the
+root-of-unity check sees b as given, so a float b within 1e-12 of a root of
+unity is still refused.
 Bigfloat and machine evaluation of P_n run Horner's rule in fixed point on
 Python integers, where its coefficients of size up to about 2**n cancel
 exactly and only the per-step truncations add up: the working precision
@@ -82,30 +86,26 @@ def affine_series(p: AffineParams, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # solution coefficients
 
-# keyed (b, m) -> {k: value} with b the exact base. Fills are idempotent and
-# values immutable, so concurrent callers at worst recompute an entry
-_REC_CACHE: dict = {}
-
-
-def _scaled_beta(b: Fraction, n: int, m: int) -> Fraction:
-    """s**m * beta^(n)_m, which is s-free; filled iteratively over n and memoized."""
-    cache = _REC_CACHE.setdefault((b, m), {})
-    for k in range(m, n + 1):
-        if k in cache:
-            continue
-        acc = (-1) ** m if k == m else 0
-        for i in range(m, k):
-            acc = acc + cache[i] * binomial(k, i) * (1 - b) ** (k - i) * b**i
-        cache[k] = acc / (1 - b**k)
-    return cache[n]
-
-
 def beta_recurrence(p: AffineParams, n: int, m: int) -> Fraction:
-    """beta^(n)_m via the triangular recursion, memoized over the lower degrees; a Fraction."""
+    """beta^(n)_m via the triangular recursion, run over integers; a Fraction.
+
+    For b = P/Q, u_k = s**m * beta^(k)_m solves u_k (Q**k - P**k) =
+    [k=m] (-1)**m Q**k + sum_{m<=i<k} u_i C(k,i) (Q-P)**(k-i) P**i. Each u_i
+    is an integer numerator over the running denominator
+    prod_{m<=j<k} (Q**j - P**j), fraction-free as in Bareiss's elimination.
+    """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     p.ensure_order(n)
-    return _scaled_beta(as_fraction(p.b), n, m) / as_fraction(p.s) ** m
+    b = as_fraction(p.b)
+    P, Q = b.numerator, b.denominator
+    nums, den = [(-1) ** m * Q**m], Q**m - P**m
+    for k in range(m + 1, n + 1):
+        d = Q**k - P**k
+        top = sum(u * (binomial(k, i) * (Q - P) ** (k - i) * P**i) for i, u in enumerate(nums, m))
+        nums = [u * d for u in nums] + [top]
+        den *= d
+    return Fraction(nums[-1], den) / as_fraction(p.s) ** m
 
 
 def beta_direct(p: AffineParams, n: int, m: int) -> Fraction:

@@ -69,7 +69,10 @@ def _rational(text: str) -> Fraction:
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    return [_rational(tok) for tok in text.split(",") if tok.strip()]
+    values = [_rational(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise UsageError(f"empty list {text!r}")
+    return values
 
 
 def _int_range(text: str) -> list[int]:

@@ -106,21 +106,33 @@ class TestBetaValues:
             want = tuple(beta_direct(p, n, m) for m in range(1, n + 1))
             assert solve_truncated(abel_system(g, n)) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_rationals().filter(lambda b: abs(b) != 1),
+        small_rationals().filter(lambda s: s != 0),
+        st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    )
+    def test_recurrence_equals_direct_property(self, b, s, nm):
+        n, m = nm
+        p = AffineParams(b, s)
+        assert beta_recurrence(p, n, m) == beta_direct(p, n, m)
+
     def test_complex_base_refused(self):
         # the closed forms take the exact value of a real base
         with pytest.raises(ValueError):
             beta_direct(AffineParams(2j, 1.0), 3, 2)
 
     def test_recurrence_memo_keeps_exact_apart_from_float(self):
-        # 0.125 == F(1, 8): float and Fraction bases share one exact key, and
-        # the entry is a Fraction whichever type filled it
+        # 0.125 == F(1, 8): a float base runs on its exact value, so both
+        # calls give the same Fraction, whichever type came first
         beta_recurrence(AffineParams(0.125, 1), 6, 1)
         got = beta_recurrence(AffineParams(F(1, 8), 1), 6, 1)
         assert type(got) is F and got == F(-2576862544, 5317395993)
 
     @pytest.mark.parametrize("bits", [64, 128])
     def test_recurrence_over_mpf_base(self, bits):
-        # 128 runs after 64: a fill kept from the lower precision would fail it
+        # the recurrence runs on the exact value of the mpf base, so the
+        # result is as close to the exact one as that base is to 1/3
         cfg = PrecisionConfig("bigfloat", bits=bits)
         p = AffineParams(cfg.scalar(F(1, 3)), cfg.scalar(1))
         with cfg.workprec():

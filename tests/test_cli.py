@@ -279,6 +279,10 @@ class TestScalarConversions:
             (("explore-exp", "--s", "709", "--N-max", "3", "--precision", "machine"), 1),
             (("explore-exp", "--s", "50", "--N-max", "40", "--precision", "machine"), 1),
             (("solve", "--b", "1e100", "--s", "1", "--N", "4", "--precision", "machine"), 1),
+            (("invariance", "--b", "1/2", "--s1", "1", "--s2", "2", "--xs", ""), 1),
+            (("logapprox", "--b", "1/2", "--n", "5", "--xs", ""), 1),
+            (("iterate", "--b", "2", "--s", "1", "--t", "", "--z", "1"), 1),
+            (("explore-bgt1", "--xs", ""), 1),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, want):
@@ -437,6 +441,8 @@ class TestExactGoldenBytes:
              "64d0dc71d411d9f8d52b20532eddcbf9cb5714759d14d40fcaa2399a38ea0dc4"),
             ("explore-exp --N-max 12 --precision exact",
              "ebf34a937ea93b5911fa9ba3d6bc9ebfa562ec74e80d761f163fc83653bf76a5"),
+            ("affine --b 1/3 --s 1 --n 60 --method recurrence --precision exact",
+             "e0c534ab332a9e941258c0e6ca30d9c76739d747d38c0d2260d566c40025cd9e"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):
