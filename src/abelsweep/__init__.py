@@ -48,7 +48,7 @@ from .powerseries import (
     series_compose,
     series_mul,
 )
-from .scalars import PrecisionConfig, format_scalar, parse_rational
+from .scalars import PrecisionConfig, format_scalar
 from .solver import (
     StabilizationConfig,
     SweepReport,
@@ -97,7 +97,6 @@ __all__ = [
     "log_poly",
     "onpow_identity",
     "pad",
-    "parse_rational",
     "poly_abel_context",
     "reference_log",
     "remainder",

@@ -80,7 +80,7 @@ def affine_series(p: AffineParams, order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("order must be at least 1")
     zero = p.d * 0
-    return TruncatedSeries((p.d, p.b) + (zero,) * (order - 1), 0)
+    return TruncatedSeries((p.d, p.b) + (zero,) * (order - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def beta_direct(p: AffineParams, n: int, m: int) -> Fraction:
 def beta_polynomial(p: AffineParams, n: int) -> TruncatedSeries:
     """The degree-n solution polynomial beta^(n) as a truncated series at 0, in Fractions."""
     coeffs = (Fraction(0),) + tuple(beta_direct(p, n, m) for m in range(1, n + 1))
-    return TruncatedSeries(coeffs, 0)
+    return TruncatedSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -42,22 +42,20 @@ class AbelSystem:
 def bell_matrix(f: TruncatedSeries, N: int) -> BellMatrix:
     """Bell matrix of f truncated to N rows and N+1 columns.
 
-    Requires f developed at 0 with order at least N-1. Powers are built by
+    Requires f of order at least N-1. Powers are built by
     repeated truncated multiplication, so each column n is exactly the
     coefficient list of f**n up to degree N-1. Only floats can overflow
     there; a power that does raises ValueError naming machine precision.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if f.center != 0:
-        raise ValueError("Bell matrix needs a series developed at 0")
     if f.order < N - 1:
         raise ValueError(
             f"series order {f.order} too small for truncation N={N} (need >= {N - 1})"
         )
     ft = pad(f, N - 1)
     one = ft.coeffs[0] * 0 + 1
-    power = constant(one, N - 1, 0)
+    power = constant(one, N - 1)
     columns = [power.coeffs]
     for n in range(1, N + 1):
         try:

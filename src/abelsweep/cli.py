@@ -205,7 +205,6 @@ def _render_sweep(report, fmt: str, cfg: PrecisionConfig) -> str:
 def _cmd_affine(args) -> str:
     cfg = args.precision
     p = AffineParams(args.b, args.s)  # exact; the system column solves the rounded map
-    p.ensure_order(args.n)
     methods = ["direct", "recurrence", "system"] if args.method == "all" else [args.method]
     columns: dict[str, list] = {}
     for method in methods:
@@ -307,7 +306,7 @@ def _cmd_explore_exp(args) -> str:
     Ns = args.Ns if args.Ns is not None else list(range(1, args.N_max + 1))
     if not Ns:
         raise UsageError("--N-max must be at least 1")
-    f = exp_shift_series(args.s, max(Ns) - 1 if max(Ns) > 1 else 1, cfg)
+    f = exp_shift_series(args.s, max(Ns) - 1, cfg)
     stab = StabilizationConfig(args.tol_abs, args.tol_rel, args.window)
     report = intuitive_sweep(f, Ns, cfg, stab)
     return _render_sweep(report, args.format, cfg)

@@ -1,9 +1,11 @@
 """Truncated formal power series.
 
-A series is stored as its coefficient list c_0..c_K (coefficient of x**m is
-c_m) together with a development point. All operations truncate to the stored
-order; since the coefficient of x**m in a product depends only on coefficients
-up to index m, truncation commutes with the arithmetic up to that order.
+A series is stored as its real coefficient list c_0..c_K (coefficient of
+x**m is c_m), always developed at 0: a map is developed at another point s by
+conjugating it first, as ``exp_shift_series`` and ``affine.AffineParams`` do.
+All operations truncate to the stored order; since the coefficient of x**m in
+a product depends only on coefficients up to index m, truncation commutes
+with the arithmetic up to that order.
 
 Operations are pure; instances are immutable and safe to share between
 threads.
@@ -17,19 +19,18 @@ from fractions import Fraction
 
 import mpmath
 
-from .scalars import PrecisionConfig, Scalar, format_scalar, is_finite
+from .scalars import PrecisionConfig, as_fraction, is_finite
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients c_0..c_K of a series developed at ``center``.
+    """Coefficients c_0..c_K of a series developed at 0.
 
     The order K is implied by the coefficient count. Coefficients must be
     finite scalars; NaN and infinity are construction errors, not sentinels.
     """
 
     coeffs: tuple
-    center: Scalar = 0
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -38,40 +39,32 @@ class TruncatedSeries:
         for c in self.coeffs:
             if not is_finite(c):
                 raise ValueError(f"non-finite coefficient {c!r}")
-        if not is_finite(self.center):
-            raise ValueError(f"non-finite center {self.center!r}")
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, m: int) -> Scalar:
-        return self.coeffs[m]
-
-    def to_json_dict(self, dps: int | None = None) -> dict:
-        return {
-            "center": format_scalar(self.center, dps),
-            "coeffs": [format_scalar(c, dps) for c in self.coeffs],
-        }
-
 
 def from_json_dict(data: dict, cfg: PrecisionConfig) -> TruncatedSeries:
-    """Read the series file format: {"center": ..., "coeffs": [...]}.
+    """Read the series file format: {"coeffs": [...]}, optionally with "center": 0.
 
     Values may be JSON numbers or strings holding decimal or "p/q" literals;
-    they are converted into ``cfg``'s scalar mode.
+    they are converted into ``cfg``'s scalar mode. A "center" whose exact
+    value is not 0 raises ValueError: series are developed at 0.
     """
     try:
         coeffs = tuple(cfg.scalar(c) for c in data["coeffs"])
-        center = cfg.scalar(data.get("center", 0))
+        center = data.get("center", 0)
+        if as_fraction(center) != 0:
+            raise ValueError(f"center must be 0, got {center!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad series object: {exc}") from exc
-    return TruncatedSeries(coeffs, center)
+    return TruncatedSeries(coeffs)
 
 
-def constant(value, order: int, center: Scalar = 0) -> TruncatedSeries:
+def constant(value, order: int) -> TruncatedSeries:
     zero = value * 0
-    return TruncatedSeries((value,) + (zero,) * order, center)
+    return TruncatedSeries((value,) + (zero,) * order)
 
 
 def pad(f: TruncatedSeries, order: int) -> TruncatedSeries:
@@ -79,27 +72,21 @@ def pad(f: TruncatedSeries, order: int) -> TruncatedSeries:
     if order == f.order:
         return f
     if order < f.order:
-        return TruncatedSeries(f.coeffs[: order + 1], f.center)
+        return TruncatedSeries(f.coeffs[: order + 1])
     zero = f.coeffs[0] * 0
-    return TruncatedSeries(f.coeffs + (zero,) * (order - f.order), f.center)
-
-
-def _common_order(a: TruncatedSeries, b: TruncatedSeries) -> int:
-    if a.center != b.center:
-        raise ValueError(f"centers differ ({a.center} vs {b.center})")
-    return min(a.order, b.order)
+    return TruncatedSeries(f.coeffs + (zero,) * (order - f.order))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product (fg)_n = sum_k f_{n-k} g_k, truncated to the common order."""
-    k = _common_order(a, b)
+    k = min(a.order, b.order)
     coeffs = []
     for n in range(k + 1):
         acc = a.coeffs[0] * b.coeffs[n]
         for i in range(1, n + 1):
             acc = acc + a.coeffs[i] * b.coeffs[n - i]
         coeffs.append(acc)
-    return TruncatedSeries(tuple(coeffs), a.center)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
@@ -112,12 +99,10 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries, order: int | 
     """
     k = order if order is not None else inner.order
     inner = pad(inner, k)
-    acc = constant(outer.coeffs[-1], k, inner.center)
+    acc = constant(outer.coeffs[-1], k)
     for m in range(outer.order - 1, -1, -1):
         acc = series_mul(acc, inner)
-        acc = TruncatedSeries(
-            (acc.coeffs[0] + outer.coeffs[m],) + acc.coeffs[1:], acc.center
-        )
+        acc = TruncatedSeries((acc.coeffs[0] + outer.coeffs[m],) + acc.coeffs[1:])
     return acc
 
 
@@ -133,7 +118,7 @@ def exp_shift_series(s, order: int, cfg: PrecisionConfig) -> TruncatedSeries:
         if sv != 0:
             raise ValueError("exact mode supports the exponential only at s=0")
         coeffs = tuple(Fraction(1, math.factorial(m)) for m in range(order + 1))
-        return TruncatedSeries(coeffs, 0)
+        return TruncatedSeries(coeffs)
     exp = math.exp if cfg.mode == "machine" else mpmath.exp
     try:
         with cfg.workprec():
@@ -143,4 +128,4 @@ def exp_shift_series(s, order: int, cfg: PrecisionConfig) -> TruncatedSeries:
         raise ValueError(
             f"the coefficients e**s/m! (s={s}, m <= {order}) are outside the float range of machine precision"
         ) from None
-    return TruncatedSeries(tuple(coeffs), cfg.scalar(0))
+    return TruncatedSeries(tuple(coeffs))

@@ -1,4 +1,4 @@
-"""Scalar abstraction: one code path, three kinds of numbers.
+"""Scalar abstraction: one code path, three kinds of real numbers.
 
 The series, Bell-matrix and solver code is written against plain arithmetic
 (``+ - * /``) so that it runs unchanged over
@@ -14,9 +14,10 @@ Every change of scalar type goes through two functions. ``as_fraction``
 gives the exact value of a str ("p/q", decimal or integer literal), int,
 float, Fraction or mpf. ``PrecisionConfig.scalar`` is ``as_fraction``
 followed by the mode's one rounding: none (exact), to the nearest float
-(machine), or to an mpf at ``bits`` (bigfloat). ``parse_rational`` is
-another name for ``as_fraction``. ``ratio_to_float`` is machine mode's
-rounding, which ``affine.eval_log_poly`` also applies to its fixed-point sum.
+(machine), or to an mpf at ``bits`` (bigfloat). ``ratio_to_float`` is
+machine mode's rounding, which ``affine.eval_log_poly`` also applies to its
+fixed-point sum. Scalars are real: complex values are refused where they
+could enter (``as_fraction``, ``check_not_root_of_unity``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Union
 import mpmath
 from mpmath import mp
 
-Scalar = Union[int, float, complex, Fraction, mpmath.mpf, mpmath.mpc]
+Scalar = Union[int, float, Fraction, mpmath.mpf]
 
 MODES = ("machine", "bigfloat", "exact")
 
@@ -121,9 +122,6 @@ def as_fraction(x) -> Fraction:
     raise ValueError(f"cannot convert {x!r} to a Fraction")
 
 
-parse_rational = as_fraction
-
-
 def ratio_to_float(p: int, q: int) -> float:
     """p/q for integers p and q > 0, rounded once to the nearest float.
 
@@ -145,8 +143,6 @@ def is_finite(x) -> bool:
         return True
     if isinstance(x, float):
         return math.isfinite(x)
-    if isinstance(x, complex):
-        return math.isfinite(x.real) and math.isfinite(x.imag)
     return bool(mpmath.isfinite(x))
 
 
@@ -160,23 +156,24 @@ def binomial(n: int, k: int) -> int:
 def check_not_root_of_unity(b, max_k: int) -> None:
     """Raise RootOfUnityError if b**k == 1 for some 1 <= k <= max_k.
 
-    An int or Fraction b is answered without powers: the only rational
-    roots of unity are 1, first at k=1, and -1, first at k=2. Float, mpf
-    and complex scalars loop over the powers and use |b**k - 1| < 1e-12, so
-    the failure is reproducible rather than precision-dependent.
+    The only real roots of unity are 1, first at k=1, and -1, first at k=2,
+    and no other power comes nearer to 1: for real b, |b**k - 1| is at least
+    |b - 1| if b > 0, more than 1 for b < 0 and odd k, and at least |b**2 - 1|
+    for b < 0 and even k. Int and Fraction b compare exactly; float and mpf b
+    use |b**k - 1| < 1e-12, so the failure is reproducible rather than
+    precision-dependent. A complex b raises ValueError, as in ``as_fraction``.
     """
     from .errors import RootOfUnityError
 
     if isinstance(b, (int, Fraction)):
         k = 1 if b == 1 else 2 if b == -1 else None
-        if k is not None and k <= max_k:
-            raise RootOfUnityError(b, k)
-        return
-    p = b
-    for k in range(1, max_k + 1):
-        if abs(p - 1) < ROOT_OF_UNITY_TOL:
-            raise RootOfUnityError(b, k)
-        p = p * b
+    elif isinstance(b, (complex, mpmath.mpc)):
+        raise ValueError(f"a root-of-unity check needs a real base, got {b!r}")
+    else:
+        tol = ROOT_OF_UNITY_TOL
+        k = 1 if abs(b - 1) < tol else 2 if abs(b * b - 1) < tol else None
+    if k is not None and k <= max_k:
+        raise RootOfUnityError(b, k)
 
 
 def check_log_domain(b, x, name: str = "x") -> None:
@@ -211,6 +208,6 @@ def format_scalar(x, dps: int | None = None) -> str:
         return _int_text(x)
     if isinstance(x, float):
         return repr(x)
-    if isinstance(x, (mpmath.mpf, mpmath.mpc)):
+    if isinstance(x, mpmath.mpf):
         return mpmath.nstr(x, dps or mp.dps, strip_zeros=True)
     return str(x)

@@ -169,7 +169,7 @@ class Verdict:
     last_delta: Scalar | None = None
     singular_Ns: tuple = ()
 
-    def as_dict(self, dps: int | None = None) -> dict:
+    def as_dict(self, dps: int) -> dict:
         d: dict = {"kind": self.kind}
         if self.kind == "stabilized":
             d["limit"] = format_scalar(self.limit, dps)
@@ -195,8 +195,8 @@ class SweepReport:
     precision: PrecisionConfig
     stab: StabilizationConfig
 
-    def to_json_dict(self, dps: int | None = None) -> dict:
-        dps = dps or self.precision.dps
+    def to_json_dict(self) -> dict:
+        dps = self.precision.dps
         coefficients = {}
         for n in sorted(self.trajectories):
             values = [
@@ -300,12 +300,10 @@ def abel_residual(alpha: TruncatedSeries, f: TruncatedSeries, K: int) -> Truncat
     where shorter, which is exact for polynomial data); the composition is
     truncated at K.
     """
-    if alpha.center != 0 or f.center != 0:
-        raise ValueError("residual check expects both series developed at 0")
     composed = series_compose(alpha, pad(f, K), order=K)
     at = pad(alpha, K)
     coeffs = list(composed.coeffs)
     for m in range(K + 1):
         coeffs[m] = coeffs[m] - at.coeffs[m]
     coeffs[0] = coeffs[0] - 1
-    return TruncatedSeries(tuple(coeffs), 0)
+    return TruncatedSeries(tuple(coeffs))

@@ -199,7 +199,7 @@ def test_c09_negative_controls():
         AffineParams(F(1), F(1)).ensure_order(3)
     with pytest.raises(RootOfUnityError):
         log_poly(F(1), 3)
-    ident = TruncatedSeries((F(0), F(1), F(0), F(0), F(0)), 0)
+    ident = TruncatedSeries((F(0), F(1), F(0), F(0), F(0)))
     for N in range(1, 6):
         with pytest.raises(SingularSystemError):
             solve_truncated(abel_system(ident, N))

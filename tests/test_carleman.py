@@ -29,14 +29,14 @@ class TestBellMatrix:
                 assert bm.entries[m][n] == binomial(n, m) * d ** (n - m) * b**m
 
     def test_identity_map_gives_identity_pattern(self):
-        f = TruncatedSeries((F(0), F(1), F(0), F(0)), 0)
+        f = TruncatedSeries((F(0), F(1), F(0), F(0)))
         bm = bell_matrix(f, 4)
         for m in range(4):
             for n in range(5):
                 assert bm.entries[m][n] == (1 if m == n else 0)
 
     def test_two_x_plus_one(self):
-        f = TruncatedSeries((F(1), F(2), F(0)), 0)
+        f = TruncatedSeries((F(1), F(2), F(0)))
         bm = bell_matrix(f, 3)
         assert [list(r[:4]) for r in bm.entries] == [
             [1, 1, 1, 1],
@@ -52,17 +52,12 @@ class TestBellMatrix:
         with pytest.raises(ValueError, match="order"):
             bell_matrix(affine(2, 1, 2), 5)
 
-    def test_nonzero_center_is_error(self):
-        f = TruncatedSeries((F(1), F(1)), center=F(1))
-        with pytest.raises(ValueError):
-            bell_matrix(f, 2)
-
     @pytest.mark.parametrize("coeffs", [(1, 2, 0, 3), (0, 1, 1, 0), (2, 0, -1, 5)])
     def test_columns_match_series_pow(self, coeffs):
-        f = TruncatedSeries(tuple(F(c) for c in coeffs), 0)
+        f = TruncatedSeries(tuple(F(c) for c in coeffs))
         N = 4
         bm = bell_matrix(f, N)
-        power = TruncatedSeries((F(1),) + (F(0),) * f.order, 0)
+        power = TruncatedSeries((F(1),) + (F(0),) * f.order)
         for n in range(N + 1):
             assert [bm.entries[m][n] for m in range(N)] == list(power.coeffs[:N])
             power = series_mul(power, f)
@@ -92,12 +87,12 @@ class TestAbelSystem:
         assert sysN.rhs == (1, 0, 0)
 
     def test_identity_map_gives_zero_matrix(self):
-        f = TruncatedSeries((F(0), F(1), F(0), F(0)), 0)
+        f = TruncatedSeries((F(0), F(1), F(0), F(0)))
         sysN = abel_system(f, 3)
         assert all(v == 0 for row in sysN.A for v in row)
 
     def test_two_x_plus_one_n2(self):
-        f = TruncatedSeries((F(1), F(2)), 0)
+        f = TruncatedSeries((F(1), F(2)))
         sysN = abel_system(f, 2)
         assert [list(r) for r in sysN.A] == [[1, 1], [1, 4]]
         assert sysN.rhs == (1, 0)
@@ -115,7 +110,7 @@ class TestAbelSystem:
     def test_pure_linear_structure(self):
         # f = bx at its fixpoint: zero first row, subdiagonal b^m - 1
         b = F(3)
-        f = TruncatedSeries((F(0), b, F(0), F(0)), 0)
+        f = TruncatedSeries((F(0), b, F(0), F(0)))
         sysN = abel_system(f, 4)
         assert all(v == 0 for v in sysN.A[0])
         for m in range(1, 4):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -82,6 +83,15 @@ class TestMatrix:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert rows == [["1", "1", "1"], ["1", "4", "0"]]
 
+    def test_json_rows(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "matrix", "--b", "2", "--s", "1", "--N", "2",
+            "--precision", "exact", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out) == {"N": 2, "rows": [["1", "1", "1"], ["0", "2", "4"]]}
+
 
 class TestSolveAndAffine:
     def test_affine_all_methods_agree(self, capsys):
@@ -92,6 +102,17 @@ class TestSolveAndAffine:
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert rows[0] == ["1", "4/3", "4/3", "4/3"]
         assert rows[1] == ["2", "-1/3", "-1/3", "-1/3"]
+
+    def test_affine_json(self, capsys):
+        code, out, _ = run(
+            capsys, "affine", "--b", "2", "--s", "1", "--n", "2", "--format", "json"
+        )
+        assert code == 0
+        column = ["4/3", "-1/3"]
+        assert json.loads(out) == {
+            "n": 2,
+            "coefficients": {"direct": column, "recurrence": column, "system": column},
+        }
 
     @pytest.mark.parametrize(
         "precision,cfg",
@@ -156,6 +177,34 @@ class TestSweep:
         assert lines[0] == "index,N,value,verdict"
         assert lines[1].startswith("1,1,1,")
 
+    def test_stabilized_verdict_carries_limit_and_last_delta(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "sweep", "--b", "2", "--s", "1", "--Ns", "1:32", "--precision", "exact",
+            "--tol-abs", "1e-3", "--tol-rel", "1e-3",
+        )
+        assert code == 0
+        entry = json.loads(out)["coefficients"]["1"]
+        verdict = entry["verdict"]
+        assert list(verdict) == ["kind", "limit", "last_delta"]
+        assert verdict["kind"] == "stabilized"
+        limit, last_delta = F(verdict["limit"]), F(verdict["last_delta"])
+        assert verdict["limit"] == entry["values"][-1]
+        assert abs(limit - F(1.0 / math.log(2))) < F(1, 10**3)
+        assert 0 < last_delta <= F(1, 10**3) * (1 + abs(limit))
+
+    def test_singular_verdict_lists_the_failed_Ns(self, capsys, tmp_path):
+        series = tmp_path / "ident.json"
+        series.write_text(json.dumps({"coeffs": [0, 1, 0]}))
+        code, out, _ = run(capsys, "sweep", "--series", str(series), "--Ns", "1:3")
+        assert code == 0
+        coefficients = json.loads(out)["coefficients"]
+        for n in (1, 2, 3):
+            assert coefficients[str(n)] == {
+                "values": [None] * (4 - n),
+                "verdict": {"kind": "singular-at", "Ns": list(range(n, 4))},
+            }
+
 
 class TestReports:
     def test_logapprox_columns(self, capsys):
@@ -176,6 +225,19 @@ class TestReports:
         assert code == 0
         doc = json.loads(out)
         assert abs(float(doc["median_gap"]) - 1) < 1e-2
+
+    def test_invariance_csv(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "invariance", "--b", "1/2", "--s1", "1", "--s2", "2",
+            "--n", "50", "--xs", "0.3,0.5", "--format", "csv",
+        )
+        assert code == 0
+        header, *lines = out.strip().split("\n")
+        assert header == "x,gap"
+        assert [line.split(",")[0] for line in lines] == ["3/10", "1/2"]
+        for line in lines:
+            assert abs(float(line.split(",")[1]) - 1) < 1e-2
 
     def test_iterate_triples(self, capsys):
         code, out, _ = run(
@@ -283,6 +345,8 @@ class TestScalarConversions:
             (("logapprox", "--b", "1/2", "--n", "5", "--xs", ""), 1),
             (("iterate", "--b", "2", "--s", "1", "--t", "", "--z", "1"), 1),
             (("explore-bgt1", "--xs", ""), 1),
+            (("solve", "--b", "2", "--s", "1", "--N", "2", "--precision", "foo"), 1),
+            (("explore-bgt1", "--b", "1/2"), 1),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, want):
@@ -443,6 +507,27 @@ class TestExactGoldenBytes:
              "ebf34a937ea93b5911fa9ba3d6bc9ebfa562ec74e80d761f163fc83653bf76a5"),
             ("affine --b 1/3 --s 1 --n 60 --method recurrence --precision exact",
              "e0c534ab332a9e941258c0e6ca30d9c76739d747d38c0d2260d566c40025cd9e"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestBigfloatGoldenBytes:
+    """Bigfloat stdout on the benchmarked explore-exp path, pinned by its SHA-256.
+
+    Unlike exact mode, these digits may legitimately move, for instance when
+    the LU solve changes its order of operations (ROADMAP item 9). A change
+    that moves them must update the digest and say so in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("explore-exp --N-max 12 --s 1/3",
+             "56edb43d4af910e2e2fe29319f5d5cb88d6d2e0edd6f48fa1aff79e34c7220b0"),
         ],
     )
     def test_stdout_digest(self, capsys, argv, digest):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelsweep import PrecisionConfig, RootOfUnityError, format_scalar, parse_rational
-from abelsweep.scalars import as_fraction, binomial, check_not_root_of_unity
+from abelsweep import PrecisionConfig, RootOfUnityError, format_scalar
+from abelsweep.scalars import ROOT_OF_UNITY_TOL, as_fraction, binomial, check_not_root_of_unity
 
 
 class TestParseRational:
+    """Literals through ``as_fraction``, the one parser of numeric input."""
+
     @pytest.mark.parametrize(
         "text,want",
         [
@@ -22,13 +24,13 @@ class TestParseRational:
         ],
     )
     def test_literals(self, text, want):
-        assert parse_rational(text) == want
+        assert as_fraction(text) == want
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            parse_rational("zebra")
+            as_fraction("zebra")
         with pytest.raises(ValueError):
-            parse_rational(None)
+            as_fraction(None)
 
 
 class TestPrecisionConfig:
@@ -88,17 +90,20 @@ class TestRootOfUnity:
         check_not_root_of_unity(F(2), 50)
 
     def test_complex_roots(self):
-        with pytest.raises(RootOfUnityError):
-            check_not_root_of_unity(1j, 4)
-        check_not_root_of_unity(1j, 3)
+        # scalars are real: a complex base is refused, as as_fraction refuses it
+        for b in (1j, 1 + 0j, mpmath.mpc(0, 1)):
+            with pytest.raises(ValueError, match="real base"):
+                check_not_root_of_unity(b, 4)
 
-    @pytest.mark.parametrize("max_k", [0, 1, 2, 3])
-    @pytest.mark.parametrize("b", [1, -1, F(1), F(-1), 2, F(1, 3)])
-    def test_rational_shortcut_matches_the_power_loop(self, b, max_k):
+    @staticmethod
+    def _rule_and_loop(b, max_k):
+        """What the rule raises for (b, max_k), and what the power loop raises."""
+
         def power_loop():
+            exact = isinstance(b, (int, F))
             p = b
             for k in range(1, max_k + 1):
-                if p == 1:
+                if (p == 1) if exact else abs(p - 1) < ROOT_OF_UNITY_TOL:
                     raise RootOfUnityError(b, k)
                 p = p * b
 
@@ -109,7 +114,43 @@ class TestRootOfUnity:
                 return type(exc.b), exc.b, exc.k, str(exc)
             return None
 
-        assert raised(lambda: check_not_root_of_unity(b, max_k)) == raised(power_loop)
+        return raised(lambda: check_not_root_of_unity(b, max_k)), raised(power_loop)
+
+    @staticmethod
+    def _mpf(x, bits=128):
+        with mpmath.mp.workprec(bits):
+            return mpmath.mpf(x)
+
+    @pytest.mark.parametrize("max_k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("b", [1, -1, F(1), F(-1), 2, F(1, 3)])
+    def test_rational_shortcut_matches_the_power_loop(self, b, max_k):
+        rule, loop = self._rule_and_loop(b, max_k)
+        assert rule == loop
+
+    @pytest.mark.parametrize("offset", [0, 1e-13, -4e-13, 4e-13, -6e-13, 6e-13, 1e-12, 2e-12])
+    @pytest.mark.parametrize("one", [1, -1])
+    @pytest.mark.parametrize("kind", ["float", "mpf"])
+    def test_float_rule_matches_the_power_loop_near_plus_minus_one(self, kind, one, offset):
+        # near -1, b**2 - 1 is about -2*offset, so 4e-13 is refused at k=2 and 6e-13 is not
+        b = one + offset if kind == "float" else self._mpf(one) + self._mpf(offset)
+        for max_k in (0, 1, 2, 3, 40):
+            rule, loop = self._rule_and_loop(b, max_k)
+            assert rule == loop, max_k
+
+    @given(
+        st.one_of(
+            st.floats(-3, 3),
+            st.tuples(st.sampled_from([1, -1]), st.floats(-1e-11, 1e-11)).map(sum),
+            st.sampled_from([0.0, 1e-300, -1e300, 1e300]),
+        ),
+        st.sampled_from(["float", "mpf"]),
+        st.integers(0, 30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_rule_matches_the_power_loop(self, x, kind, max_k):
+        b = x if kind == "float" else self._mpf(x)
+        rule, loop = self._rule_and_loop(b, max_k)
+        assert rule == loop
 
 
 class TestAsFraction:
@@ -119,9 +160,6 @@ class TestAsFraction:
         q = as_fraction(x)
         with mpmath.mp.workprec(80):
             assert mpmath.mpf(q.numerator) / q.denominator == x
-
-    def test_parse_rational_is_as_fraction(self):
-        assert parse_rational is as_fraction
 
     @pytest.mark.parametrize(
         "x",

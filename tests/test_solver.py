@@ -21,7 +21,7 @@ from abelsweep import (
 from abelsweep.carleman import AbelSystem
 
 
-IDENTITY = TruncatedSeries((F(0), F(1), F(0), F(0)), 0)
+IDENTITY = TruncatedSeries((F(0), F(1), F(0), F(0)))
 
 
 def affine(b, s, order):
@@ -42,7 +42,7 @@ class TestSolveTruncated:
         assert err.value.size == 2
 
     def test_singular_in_float_mode(self):
-        zero = TruncatedSeries((0.0, 1.0, 0.0), 0.0)
+        zero = TruncatedSeries((0.0, 1.0, 0.0))
         with pytest.raises(SingularSystemError):
             solve_truncated(abel_system(zero, 2))
 
@@ -87,17 +87,50 @@ class TestSolveTruncated:
         )
         assert solve_truncated(scaled) == x
 
+    @staticmethod
+    def _one_minus_x_plus_x2(cfg, N):
+        coeffs = (1, -1, 1) + (0,) * max(N - 3, 0)
+        return TruncatedSeries(tuple(cfg.scalar(c) for c in coeffs))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [PrecisionConfig("exact"), PrecisionConfig("machine"), PrecisionConfig("bigfloat", bits=128)],
+        ids=["exact", "machine", "bits:128"],
+    )
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_singular_truncations_of_one_minus_x_plus_x2(self, cfg, N):
+        with cfg.workprec(), pytest.raises(SingularSystemError):
+            solve_truncated(abel_system(self._one_minus_x_plus_x2(cfg, N), N))
+
+    @pytest.mark.parametrize("N", [3, 4, 6, 7])
+    def test_row_swap_of_one_minus_x_plus_x2(self, N):
+        # f = 1 - x + x**2 leaves a zero pivot at step 1 (A_2 is singular),
+        # so elimination must swap rows; the float paths pivot on their own
+        from abelsweep.scalars import as_fraction
+
+        sysN = abel_system(self._one_minus_x_plus_x2(PrecisionConfig("exact"), N), N)
+        x = solve_truncated(sysN)
+        assert [sum(a * v for a, v in zip(row, x)) for row in sysN.A] == [1] + [0] * (N - 1)
+        scale = max(abs(v) for v in x)
+        for cfg, tol in (
+            (PrecisionConfig("machine"), 1e-12),
+            (PrecisionConfig("bigfloat", bits=128), F(1, 10**30)),
+        ):
+            with cfg.workprec():
+                y = solve_truncated(abel_system(self._one_minus_x_plus_x2(cfg, N), N))
+            assert max(abs(as_fraction(a) - b) for a, b in zip(y, x)) <= tol * scale
+
 
 class TestAbelResidual:
     def test_zero_alpha_gives_minus_one(self):
-        r = abel_residual(TruncatedSeries((F(0), F(0)), 0), affine(2, 1, 1), 1)
+        r = abel_residual(TruncatedSeries((F(0), F(0))), affine(2, 1, 1), 1)
         assert r.coeffs == (-1, 0)
 
     @pytest.mark.parametrize("N", [1, 2, 4, 7, 10])
     def test_solved_truncation_residual_vanishes(self, N):
         g = affine(2, 1, max(N, 1))
         x = solve_truncated(abel_system(g, N))
-        alpha = TruncatedSeries((F(0),) + x, 0)
+        alpha = TruncatedSeries((F(0),) + x)
         r = abel_residual(alpha, g, max(N - 1, 0))
         assert all(c == 0 for c in r.coeffs)
 
@@ -113,11 +146,6 @@ class TestAbelResidual:
             F(0) if m < n else F(-1) ** (n + 1) / s**n for m in range(n + 1)
         )
         assert r.coeffs == want
-
-    def test_requires_centered_inputs(self):
-        off = TruncatedSeries((F(1), F(1)), center=F(1))
-        with pytest.raises(ValueError):
-            abel_residual(off, affine(2, 1, 1), 1)
 
 
 class TestClassification:
