@@ -39,6 +39,22 @@ class AbelSystem:
     N: int
 
 
+def check_truncation_sizes(Ns, order: int | None = None) -> None:
+    """ValueError unless the truncation sizes Ns are nonempty, positive and strictly increasing.
+
+    Given the order of a series, also unless it reaches max(Ns) - 1, the
+    highest degree that the largest truncation reads.
+    """
+    if any(b <= a for a, b in zip(Ns, Ns[1:])):
+        raise ValueError("truncation sizes must be strictly increasing")
+    if not Ns or Ns[0] < 1:
+        raise ValueError("need at least one positive truncation size")
+    if order is not None and order < Ns[-1] - 1:
+        raise ValueError(
+            f"series order {order} too small for truncation N={Ns[-1]} (need >= {Ns[-1] - 1})"
+        )
+
+
 def bell_matrix(f: TruncatedSeries, N: int) -> BellMatrix:
     """Bell matrix of f truncated to N rows and N+1 columns.
 
@@ -47,12 +63,7 @@ def bell_matrix(f: TruncatedSeries, N: int) -> BellMatrix:
     coefficient list of f**n up to degree N-1. Only floats can overflow
     there; a power that does raises ValueError naming machine precision.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if f.order < N - 1:
-        raise ValueError(
-            f"series order {f.order} too small for truncation N={N} (need >= {N - 1})"
-        )
+    check_truncation_sizes((N,), f.order)
     ft = pad(f, N - 1)
     one = ft.coeffs[0] * 0 + 1
     power = constant(one, N - 1)

@@ -25,7 +25,7 @@ from .affine import (
     reference_log,
     s_invariance_gap,
 )
-from .carleman import abel_system, bell_matrix
+from .carleman import abel_system, bell_matrix, check_truncation_sizes
 from .errors import DomainError
 from .iterate import exact_log_context, fractional_iterate, poly_abel_context
 from .powerseries import exp_shift_series, from_json_dict
@@ -57,7 +57,10 @@ def _precision(text: str) -> PrecisionConfig:
     if text == "exact":
         return PrecisionConfig("exact")
     if text.startswith("bits:"):
-        return PrecisionConfig("bigfloat", bits=int(text[5:]))
+        try:
+            return PrecisionConfig("bigfloat", bits=int(text[5:]))
+        except ValueError as exc:
+            raise UsageError(f"bad --precision {text!r}: {exc}") from exc
     raise UsageError(f"bad --precision {text!r} (machine | bits:<n> | exact)")
 
 
@@ -77,13 +80,16 @@ def _rational_list(text: str) -> list[Fraction]:
 
 def _int_range(text: str) -> list[int]:
     """\"a:b\" or \"a:b:step\" (inclusive), or a comma list."""
-    if ":" in text:
-        parts = [int(tok) for tok in text.split(":")]
-        lo, hi = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        values = list(range(lo, hi + 1, step))
-    else:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ":" in text:
+            lo, hi, *step = (int(tok) for tok in text.split(":"))
+            if len(step) > 1:
+                raise ValueError("expected a:b or a:b:step")
+            values = list(range(lo, hi + 1, *step))
+        else:
+            values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad range {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"empty range {text!r}")
     return values
@@ -93,8 +99,14 @@ _MACHINE = PrecisionConfig("machine")
 
 
 def _bracket(text: str) -> tuple:
-    lo, hi = text.split(":")
-    return (_MACHINE.scalar(lo), _MACHINE.scalar(hi))
+    """\"lo:hi\", each end rounded to a float."""
+    ends = text.split(":")
+    if len(ends) != 2:
+        raise UsageError(f"bad --bracket {text!r}: expected lo:hi")
+    try:
+        return tuple(_MACHINE.scalar(end) for end in ends)
+    except ValueError as exc:
+        raise UsageError(f"bad --bracket {text!r}: {exc}") from exc
 
 
 def _load_series(path: str, cfg: PrecisionConfig):
@@ -185,10 +197,11 @@ def _cmd_sweep(args) -> str:
     with cfg.workprec():
         f = _affine_input(args, cfg, max(Ns) - 1)
     report = intuitive_sweep(f, Ns, cfg, stab)
-    return _render_sweep(report, args.format, cfg)
+    return _render_sweep(report, args.format, cfg, stab)
 
 
-def _render_sweep(report, fmt: str, cfg: PrecisionConfig) -> str:
+def _render_sweep(report, fmt: str, cfg: PrecisionConfig, stab: StabilizationConfig) -> str:
+    """The report as CSV rows (index, N, value, verdict), or as JSON with the config."""
     if fmt == "csv":
         rows = []
         for n in sorted(report.trajectories):
@@ -199,11 +212,27 @@ def _render_sweep(report, fmt: str, cfg: PrecisionConfig) -> str:
                     [str(n), str(N), "" if v is None else format_scalar(v, cfg.dps), verdict]
                 )
         return _csv(["index", "N", "value", "verdict"], rows)
-    return _json(report.to_json_dict())
+    coefficients = {}
+    for n in sorted(report.trajectories):
+        v = report.verdicts[n]
+        verdict: dict = {"kind": v.kind}
+        if v.kind == "stabilized":
+            verdict["limit"] = format_scalar(v.limit, cfg.dps)
+            verdict["last_delta"] = format_scalar(v.last_delta, cfg.dps)
+        if v.kind == "singular-at":
+            verdict["Ns"] = list(v.singular_Ns)
+        values = [None if x is None else format_scalar(x, cfg.dps) for x in report.trajectories[n]]
+        coefficients[str(n)] = {"values": values, "verdict": verdict}
+    config = {"mode": cfg.mode, "guard_bits": cfg.guard_bits}
+    if cfg.mode == "bigfloat":
+        config["bits"] = cfg.bits
+    config.update(tol_abs=stab.tol_abs, tol_rel=stab.tol_rel, window=stab.window)
+    return _json({"Ns": list(report.Ns), "coefficients": coefficients, "config": config})
 
 
 def _cmd_affine(args) -> str:
     cfg = args.precision
+    check_truncation_sizes((args.n,))
     p = AffineParams(args.b, args.s)  # exact; the system column solves the rounded map
     methods = ["direct", "recurrence", "system"] if args.method == "all" else [args.method]
     columns: dict[str, list] = {}
@@ -279,8 +308,6 @@ def _cmd_invariance(args) -> str:
 
 def _cmd_iterate(args) -> str:
     cfg = args.precision
-    if cfg.exact:
-        raise UsageError("iterate finds roots to --tol; use --precision bits:<n> or machine")
     # exact b and s: log_poly must see the rational base, not its rounding
     p = AffineParams(args.b, args.s)
     if args.n is None:
@@ -304,12 +331,11 @@ def _cmd_explore_exp(args) -> str:
     if (args.Ns is None) == (args.N_max is None):
         raise UsageError("give exactly one of --Ns or --N-max")
     Ns = args.Ns if args.Ns is not None else list(range(1, args.N_max + 1))
-    if not Ns:
-        raise UsageError("--N-max must be at least 1")
+    check_truncation_sizes(Ns)
     f = exp_shift_series(args.s, max(Ns) - 1, cfg)
     stab = StabilizationConfig(args.tol_abs, args.tol_rel, args.window)
     report = intuitive_sweep(f, Ns, cfg, stab)
-    return _render_sweep(report, args.format, cfg)
+    return _render_sweep(report, args.format, cfg, stab)
 
 
 def _cmd_explore_bgt1(args) -> str:

@@ -19,7 +19,7 @@ class RootOfUnityError(DomainError):
     def __init__(self, b, k):
         self.b = b
         self.k = k
-        super().__init__(f"base {b!r} is a root of unity: b**{k} == 1")
+        super().__init__(f"base {b} is a root of unity: b**{k} == 1")
 
 
 class ZeroShiftError(DomainError):

@@ -26,7 +26,7 @@ import mpmath
 
 from .affine import AffineParams, LogApproxPoly, _log_coeffs, eval_log_poly
 from .errors import BracketError, DomainError
-from .scalars import PrecisionConfig, Scalar, check_log_domain, sign
+from .scalars import PrecisionConfig, Scalar, as_fraction, check_log_domain, sign
 
 _MAX_STEPS = 4096
 
@@ -39,6 +39,8 @@ class IterationContext:
     evaluator is assumed monotone on it. Building the context runs ``abel``
     at both bracket ends, under ``cfg.workprec()``, and keeps the two values
     in ``_ends`` for every later inversion; an error there is raised here.
+    An exact ``cfg`` raises ValueError before that: the root search stops at
+    ``tol``, so its result is never exact.
     """
 
     abel: Callable[[Scalar], Scalar]
@@ -48,6 +50,11 @@ class IterationContext:
     _ends: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.cfg.exact:
+            raise ValueError(
+                "fractional iteration finds roots to a tolerance and has no exact mode;"
+                " use bigfloat or machine precision"
+            )
         if not self.tol > 0:
             raise ValueError("inversion tolerance must be positive")
         lo, hi = self.bracket
@@ -64,12 +71,9 @@ def exact_log_context(
 
     The logarithm is real only for b > 0, b != 1, s > 0 and z > 0, checked
     on the values rounded to the config's scalars: other bases and shifts
-    raise DomainError here, other points when abel is called. An exact
-    config raises ValueError, since the logarithm has no exact value.
+    raise DomainError here, other points when abel is called.
     """
     cfg = cfg or PrecisionConfig()
-    if cfg.exact:
-        raise ValueError("the log Abel function has no exact mode; use bigfloat or machine")
     bv, sv = cfg.scalar(b), cfg.scalar(s)
     check_log_domain(bv, sv, "s")
     log = math.log if cfg.mode == "machine" else mpmath.log
@@ -91,7 +95,8 @@ def poly_abel_context(
     """Context for g(x) = b*(x+s) - s using the degree-n Abel polynomial.
 
     The evaluator is P_n(z/s + 1) - P_n(0), the s-free approximant without
-    its constant term, evaluated by eval_log_poly's fixed-point Horner: its
+    its constant term. Its point z/s + 1 is computed exactly, from the exact
+    values of z and s, and evaluated by eval_log_poly's fixed-point Horner: its
     error stays below 2**(1 - bits - guard_bits) at every degree, and the
     working precision exceeds bits + guard_bits + log2(n+1) only where
     |z/s + 1| > 1. Dropping P_n(0) leaves the iterated function unchanged
@@ -99,10 +104,10 @@ def poly_abel_context(
     at n=300.
     """
     poly = LogApproxPoly(n, p.b, (0,) + _log_coeffs(p.b, n))
-    s = p.s
+    s = as_fraction(p.s)
 
     def abel(z):
-        return eval_log_poly(poly, z / s + 1, cfg)
+        return eval_log_poly(poly, as_fraction(z) / s + 1, cfg)
 
     return IterationContext(abel, bracket, tol, cfg=cfg)
 

@@ -86,12 +86,6 @@ class PrecisionConfig:
         with mp.workprec(self.bits):
             return mpmath.mpf(q.numerator) / q.denominator
 
-    def as_dict(self) -> dict:
-        d = {"mode": self.mode, "guard_bits": self.guard_bits}
-        if self.mode == "bigfloat":
-            d["bits"] = self.bits
-        return d
-
     @property
     def dps(self) -> int:
         """Decimal digits that round-trip this mode's floats."""

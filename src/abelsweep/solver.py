@@ -16,10 +16,10 @@ from typing import Sequence
 
 import mpmath
 
-from .carleman import AbelSystem, abel_system
+from .carleman import AbelSystem, abel_system, check_truncation_sizes
 from .errors import SingularSystemError
 from .powerseries import TruncatedSeries, pad, series_compose
-from .scalars import PrecisionConfig, Scalar, as_fraction, format_scalar, sign
+from .scalars import PrecisionConfig, Scalar, as_fraction, sign
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +154,6 @@ class StabilizationConfig:
             if not (math.isfinite(tol) and tol >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
-    def as_dict(self) -> dict:
-        return {
-            "tol_abs": self.tol_abs,
-            "tol_rel": self.tol_rel,
-            "window": self.window,
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -169,47 +162,23 @@ class Verdict:
     last_delta: Scalar | None = None
     singular_Ns: tuple = ()
 
-    def as_dict(self, dps: int) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "stabilized":
-            d["limit"] = format_scalar(self.limit, dps)
-            d["last_delta"] = format_scalar(self.last_delta, dps)
-        if self.kind == "singular-at":
-            d["Ns"] = list(self.singular_Ns)
-        return d
-
 
 @dataclass(frozen=True)
 class SweepReport:
     """Trajectories alpha^(N)_n over the solved truncations, with verdicts.
 
     ``trajectories[n]`` is aligned with the sublist of Ns satisfying N >= n;
-    entries are None where that truncation was singular. The report is
-    deterministic: it depends only on the inputs, not on solve order.
+    entries are None where that truncation was singular. ``verdicts[n]`` is
+    coefficient n's Verdict and ``singular_Ns`` lists the singular
+    truncations. The report holds scalars of the sweep's precision mode and
+    no text: the CLI renders it as JSON or CSV. It is deterministic: it
+    depends only on the inputs, not on solve order.
     """
 
     Ns: tuple
     trajectories: dict
     verdicts: dict
     singular_Ns: tuple
-    precision: PrecisionConfig
-    stab: StabilizationConfig
-
-    def to_json_dict(self) -> dict:
-        dps = self.precision.dps
-        coefficients = {}
-        for n in sorted(self.trajectories):
-            values = [
-                None if v is None else format_scalar(v, dps)
-                for v in self.trajectories[n]
-            ]
-            coefficients[str(n)] = {
-                "values": values,
-                "verdict": self.verdicts[n].as_dict(dps),
-            }
-        cfg = dict(self.precision.as_dict())
-        cfg.update(self.stab.as_dict())
-        return {"Ns": list(self.Ns), "coefficients": coefficients, "config": cfg}
 
 
 def classify_trajectory(values: Sequence, stab: StabilizationConfig) -> Verdict:
@@ -246,18 +215,12 @@ def intuitive_sweep(
 
     Singular truncations are recorded and skipped, never aborting the sweep.
     A coefficient index with no successful solve at all gets the singular-at
-    verdict listing the failed truncation sizes.
+    verdict listing the failed truncation sizes. The sizes and the order of
+    f are checked (``check_truncation_sizes``) before any solve.
     """
     stab = stab or StabilizationConfig()
     Ns = list(Ns)
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("truncation sizes must be strictly increasing")
-    if not Ns or Ns[0] < 1:
-        raise ValueError("need at least one positive truncation size")
-    if f.order < max(Ns) - 1:
-        raise ValueError(
-            f"series order {f.order} too small for N={max(Ns)}"
-        )
+    check_truncation_sizes(Ns, f.order)
 
     solutions: dict[int, tuple | None] = {}
     singular: list[int] = []
@@ -284,9 +247,7 @@ def intuitive_sweep(
             )
         else:
             verdicts[n] = classify_trajectory(good, stab)
-    return SweepReport(
-        tuple(Ns), trajectories, verdicts, tuple(singular), cfg, stab
-    )
+    return SweepReport(tuple(Ns), trajectories, verdicts, tuple(singular))
 
 
 # ---------------------------------------------------------------------------

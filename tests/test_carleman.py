@@ -11,11 +11,37 @@ from abelsweep import (
     bell_matrix,
     series_mul,
 )
+from abelsweep.carleman import check_truncation_sizes
 from abelsweep.scalars import binomial
 
 
 def affine(b, s, order):
     return affine_series(AffineParams(F(b), F(s)), order)
+
+
+class TestTruncationSizes:
+    @pytest.mark.parametrize(
+        "Ns,order,match",
+        [
+            ([], None, "positive"),
+            ([0], None, "positive"),
+            ([-1, 2], None, "positive"),
+            ([2, 1], None, "increasing"),
+            ([1, 1], None, "increasing"),
+            ([1, 4], 2, "order 2 too small for truncation N=4"),
+        ],
+    )
+    def test_refused(self, Ns, order, match):
+        with pytest.raises(ValueError, match=match):
+            check_truncation_sizes(Ns, order)
+
+    @pytest.mark.parametrize("Ns,order", [([1], None), ([1, 3], 2), ([2, 5, 9], 8)])
+    def test_accepted(self, Ns, order):
+        check_truncation_sizes(Ns, order)
+
+    def test_bell_matrix_checks_its_size(self):
+        with pytest.raises(ValueError, match="positive"):
+            bell_matrix(affine(2, 1, 3), 0)
 
 
 class TestBellMatrix:

@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelsweep import AffineParams, PrecisionConfig, beta_direct
 from abelsweep.cli import main
@@ -166,6 +170,23 @@ class TestSweep:
         assert "verdict" in doc["coefficients"]["1"]
         assert doc["config"]["window"] == 3
 
+    def test_json_schema_sparse_Ns(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--b", "2", "--s", "1", "--Ns", "1,2,4", "--precision", "exact"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["Ns"] == [1, 2, 4]
+        assert set(doc["coefficients"]) == {"1", "2", "3", "4"}
+        # index 3 only exists for N=4
+        assert len(doc["coefficients"]["3"]["values"]) == 1
+        assert doc["coefficients"]["1"]["verdict"]["kind"] in (
+            "stabilized",
+            "drifting",
+            "oscillating",
+        )
+        assert doc["config"]["mode"] == "exact"
+
     def test_csv_long_format(self, capsys):
         code, out, _ = run(
             capsys,
@@ -290,14 +311,22 @@ class TestReports:
         assert len(err.strip().split("\n")) == 1
         assert err.startswith("domain error:") and "Traceback" not in err
 
-    def test_iterate_exact_precision_refused(self, capsys):
-        code, out, err = run(
-            capsys,
-            "iterate", "--b", "2", "--s", "1", "--t", "1/2", "--z", "1", "--precision", "exact",
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--b", "2", "--s", "1", "--t", "1/2", "--z", "1"),
+            ("--b", "1/2", "--s", "1", "--n", "20", "--bracket", "-0.9:0.9",
+             "--t", "1", "--z", "3/10"),
+        ],
+        ids=["exact-log", "polynomial"],
+    )
+    def test_iterate_exact_precision_refused(self, capsys, argv):
+        code, out, err = run(capsys, "iterate", *argv, "--precision", "exact")
         assert code == 1 and not out
-        assert len(err.strip().split("\n")) == 1
-        assert err.startswith("usage error:")
+        assert err == (
+            "error: fractional iteration finds roots to a tolerance and has no exact mode;"
+            " use bigfloat or machine precision\n"
+        )
 
     def test_iterate_polynomial_requires_bracket(self, capsys):
         code, _, err = run(
@@ -347,6 +376,10 @@ class TestScalarConversions:
             (("explore-bgt1", "--xs", ""), 1),
             (("solve", "--b", "2", "--s", "1", "--N", "2", "--precision", "foo"), 1),
             (("explore-bgt1", "--b", "1/2"), 1),
+            (("iterate", "--b", "1/2", "--s", "1e400", "--n", "20", "--bracket", "-0.9:0.9",
+              "--t", "1", "--z", "0.3"), 2),
+            (("iterate", "--b", "1/2", "--s", "1e-400", "--n", "20", "--bracket", "-0.9:0.9",
+              "--t", "1", "--z", "0.3"), 2),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, want):
@@ -406,6 +439,54 @@ class TestScalarConversions:
         for record, line in zip(records, lines):
             assert list(record) == keys
             assert list(record.values()) == line.split(",")
+
+
+class TestOneCheckPerPrecondition:
+    """Each precondition is checked in one place, so every mode and method says the same."""
+
+    def test_explore_exp_nonpositive_size_same_message_in_every_mode(self, capsys):
+        errs = set()
+        for precision in ("exact", "machine", "bits:64"):
+            code, out, err = run(capsys, "explore-exp", "--Ns", "0", "--precision", precision)
+            assert code == 1 and not out
+            errs.add(err)
+        assert errs == {"error: need at least one positive truncation size\n"}
+
+    @pytest.mark.parametrize("method", ["direct", "recurrence", "system", "all"])
+    def test_affine_nonpositive_n_refused_by_every_method(self, capsys, method):
+        code, out, err = run(
+            capsys, "affine", "--b", "2", "--s", "1", "--n", "0", "--method", method
+        )
+        assert code == 1 and not out
+        assert err == "error: need at least one positive truncation size\n"
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (("solve", "--b", "2", "--s", "1", "--N", "2", "--precision", "bits:10"),
+             "bad --precision 'bits:10': bigfloat mode needs at least 24 mantissa bits"),
+            (("iterate", "--b", "1/2", "--s", "1", "--n", "20", "--bracket", "a:b",
+              "--t", "1", "--z", "0.3"),
+             "bad --bracket 'a:b': Invalid literal for Fraction: 'a'"),
+            (("iterate", "--b", "1/2", "--s", "1", "--n", "20", "--bracket=-1e400:1",
+              "--t", "1", "--z", "0.3"),
+             "bad --bracket '-1e400:1': a value is outside the float range of machine precision"),
+            (("sweep", "--Ns", "a:b"),
+             "bad range 'a:b': invalid literal for int() with base 10: 'a'"),
+        ],
+    )
+    def test_argument_errors_name_the_literal_and_the_reason(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == f"usage error: {reason}\n"
+
+    @pytest.mark.parametrize("precision", ["exact", "machine", "bits:64"])
+    def test_root_of_unity_prints_the_base_as_a_number(self, capsys, precision):
+        code, _, err = run(
+            capsys, "solve", "--b", "1", "--s", "1", "--N", "3", "--precision", precision
+        )
+        assert code == 2
+        assert err.startswith("domain error: base 1") and "Fraction" not in err and "mpf" not in err
 
 
 class TestNegativeLiterals:
@@ -534,3 +615,95 @@ class TestBigfloatGoldenBytes:
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Literal pools for the argv property test, as (well-formed, malformed)
+# pairs. Well-formed literals include zero, negatives, p/q and values outside
+# the float range; malformed ones nan, inf, empty and unparsable tokens.
+# Sizes stay small (N <= 4, n <= 12) so that each command runs in
+# milliseconds.
+_NUMBER = (["1", "2", "-1", "1/2", "-3/4", "3/10", "0", "1e400", "1e-400"],
+           ["nan", "inf", "", "x", "1/0"])
+_LIST = (["3/10", "0.3,0.5", "1", "-1/2,2", "0", "1e400", "1e-400,1/2"],
+         ["nan", "", "x", "1,,2"])
+_SIZE = (["1", "2", "4", "0", "-1"], ["", "x", "1.5"])
+_DEGREE = (["1", "5", "12", "0", "-1"], ["", "x"])
+# affine's exact system solve takes seconds at n=12 when b or s is 1e-400
+_AFFINE_DEGREE = (["1", "3", "5", "0", "-1"], ["", "x"])
+_SIZES = (["1:4", "1,2,4", "4", "2:4", "0", "3:1", "2,1", "-1:2"],
+          ["1:4:0", "1:2:3:4", "", "a:b", "1:"])
+_DEGREES = (["5", "5,12", "12", "0", "-1", "12:1"], ["1:12:0", "", "a:b"])
+_BRACKET = (["-0.9:0.9", "0:5", "1:0", "-1e400:1", "1e-400:1"], ["a:b", "1", "nan:1", ":"])
+_TOL = (["1e-9", "1e-3", "0", "-1", "1e400"], ["nan", "inf", "x"])
+_WINDOW = (["1", "3", "0", "-1"], ["x"])
+_COMMON = {"--precision": (["machine", "exact", "bits:64", "bits:10"], ["bits:x", "foo", ""]),
+           "--format": (["csv", "json"], ["xml"])}
+_STAB = {"--tol-abs": _TOL, "--tol-rel": _TOL, "--window": _WINDOW}
+_FLAG = None
+
+#: per subcommand: its required options, its optional ones, and the
+#: options never left out because their default size is above the cap
+_GRAMMAR = {
+    "matrix": ({"--N": _SIZE}, {"--b": _NUMBER, "--s": _NUMBER, "--system": _FLAG}, ()),
+    "solve": ({"--N": _SIZE}, {"--b": _NUMBER, "--s": _NUMBER}, ()),
+    "sweep": ({"--Ns": _SIZES}, {"--b": _NUMBER, "--s": _NUMBER, **_STAB}, ()),
+    "affine": (
+        {"--b": _NUMBER, "--s": _NUMBER, "--n": _AFFINE_DEGREE},
+        {"--method": (["direct", "recurrence", "system", "all"], ["x"])},
+        (),
+    ),
+    "logapprox": ({"--b": _NUMBER, "--n": _DEGREES, "--xs": _LIST}, {}, ()),
+    "invariance": (
+        {"--b": _NUMBER, "--s1": _NUMBER, "--s2": _NUMBER, "--xs": _LIST},
+        {"--n": _DEGREE},
+        ("--n",),
+    ),
+    "iterate": (
+        {"--b": _NUMBER, "--s": _NUMBER, "--t": _LIST, "--z": _LIST},
+        {"--n": _DEGREE, "--bracket": _BRACKET, "--tol": _TOL},
+        (),
+    ),
+    "explore-exp": ({}, {"--s": _NUMBER, "--Ns": _SIZES, "--N-max": _SIZE, **_STAB}, ()),
+    "explore-bgt1": ({}, {"--b": _NUMBER, "--n": _DEGREES, "--xs": _LIST}, ("--n",)),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand and its options; each option is left out or malformed one time in sixteen.
+
+    An optional option is also left out one time in two otherwise, and an
+    option may be written as "--opt value" or "--opt=value".
+    """
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    required, optional, always = _GRAMMAR[command]
+    argv = [command]
+    for option, pools in {**required, **optional, **_COMMON}.items():
+        roll = draw(st.integers(0, 15))  # hypothesis favours 0: make it the common case
+        left_out = roll == 15 or (option not in required and roll % 2 == 1)
+        if left_out and option not in always:
+            continue
+        if pools is _FLAG:
+            argv.append(option)
+            continue
+        value = draw(st.sampled_from(pools[roll == 14]))
+        argv += [option, value] if draw(st.booleans()) else [f"{option}={value}"]
+    return argv
+
+
+class TestArgvProperty:
+    """Any argv ends in exit code 0, 1 or 2 and at most one stderr line, never a traceback."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(argv=_argv())
+    def test_exit_code_one_line_and_finite_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1
+        if code:
+            assert out.getvalue() == ""
+        else:
+            text = out.getvalue().lower()
+            assert "inf" not in text and "nan" not in text

@@ -69,7 +69,7 @@ class TestExactLogContext:
 
     def test_exact_config_rejected(self):
         # the logarithm has no exact value; mpmath would silently use 53 bits
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no exact mode"):
             exact_log_context(F(2), F(1), PrecisionConfig("exact"))
 
     @pytest.mark.parametrize("cfg", [BIG, MACHINE], ids=["bigfloat", "machine"])
@@ -154,10 +154,11 @@ class TestPolynomialContext:
         assert "t=-40 at z=0.3" in str(err.value) and "[-0.95, 0.95]" in str(err.value)
 
     def test_bracket_failure_is_free_of_the_additive_constant(self, halving):
-        # an Abel function of the full P_n reports the same reachable range
+        # an Abel function of the full P_n, at the same exact points z/s + 1,
+        # reports the same reachable range
         poly = log_poly(F(1, 2), 200)
         full = IterationContext(
-            lambda z: eval_log_poly(poly, z + 1, BIG), (-0.95, 0.95), 1e-9, BIG
+            lambda z: eval_log_poly(poly, F(z) + 1, BIG), (-0.95, 0.95), 1e-9, BIG
         )
         reach = []
         for ctx in (halving, full):
@@ -165,6 +166,20 @@ class TestPolynomialContext:
                 fractional_iterate(ctx, 5, 0.3)
             reach.append(err.value.reach)
         assert all(abs(u - v) < 1e-20 for u, v in zip(*reach))
+
+    def test_exact_config_refused(self):
+        # returned -0.3500000000157085, a float, when the context accepted it
+        with pytest.raises(ValueError, match="no exact mode"):
+            poly_abel_context(
+                AffineParams(F(1, 2), F(1)), 20, PrecisionConfig("exact"), bracket=(-0.9, 0.9)
+            )
+
+    @pytest.mark.parametrize("s", [F(10) ** 400, F(1, 10**400)])
+    def test_point_is_exact_for_any_shift(self, s):
+        # z/s + 1 in floats overflowed for s=1e400 and divided by zero for s=1e-400
+        ctx = poly_abel_context(AffineParams(F(1, 2), s), 20, BIG, bracket=(-0.9, 0.9))
+        with pytest.raises(BracketError):
+            fractional_iterate(ctx, 1, 0.3)
 
 
 class TestIllinoisSteps:
@@ -200,6 +215,12 @@ class TestContextValidation:
     def test_bracket_must_be_ordered(self):
         with pytest.raises(ValueError):
             IterationContext(abel=lambda z: z, bracket=(1, 0), tol=1e-9)
+
+    def test_exact_config_refused_before_any_evaluation(self):
+        seen = []
+        with pytest.raises(ValueError, match="no exact mode"):
+            IterationContext(seen.append, (0, 1), 1e-9, PrecisionConfig("exact"))
+        assert seen == []
 
     def test_empty_grid_rejected(self, doubling=None):
         ctx = exact_log_context(F(2), F(1), BIG)
