@@ -73,7 +73,8 @@ def bell_matrix(f: TruncatedSeries, N: int) -> BellMatrix:
             power = series_mul(power, ft)
         except ValueError:  # a non-finite coefficient
             raise ValueError(
-                f"the coefficients of f**{n} (N={N}) are outside the float range of machine precision"
+                f"the coefficients of f**{n} in the Bell matrix built at N={N}"
+                " are outside the float range of machine precision"
             ) from None
         columns.append(power.coeffs)
     entries = tuple(

@@ -15,6 +15,8 @@ import re
 import sys
 from fractions import Fraction
 
+import mpmath
+
 from .affine import (
     AffineParams,
     affine_series,
@@ -98,15 +100,50 @@ def _int_range(text: str) -> list[int]:
 _MACHINE = PrecisionConfig("machine")
 
 
+def _round_literal(
+    cfg: PrecisionConfig, value: Fraction, option: str, literal: str | None = None
+):
+    """An input literal's value rounded once to cfg's scalars.
+
+    A nonzero value that machine precision rounds to 0.0 is refused, naming
+    the option and the literal (by default, the value to 6 digits). Computed
+    values are not checked here: 0.0 is their correct rounding.
+    """
+    x = cfg.scalar(value)
+    if value and not x:
+        literal = literal or mpmath.nstr(mpmath.mpf(value.numerator) / value.denominator, 6)
+        raise UsageError(
+            f"bad {option} {literal!r}: a nonzero value rounds to 0.0 in machine precision"
+        )
+    return x
+
+
 def _bracket(text: str) -> tuple:
     """\"lo:hi\", each end rounded to a float."""
     ends = text.split(":")
     if len(ends) != 2:
         raise UsageError(f"bad --bracket {text!r}: expected lo:hi")
     try:
-        return tuple(_MACHINE.scalar(end) for end in ends)
+        return tuple(_round_literal(_MACHINE, as_fraction(end), "--bracket", text) for end in ends)
     except ValueError as exc:
         raise UsageError(f"bad --bracket {text!r}: {exc}") from exc
+
+
+def _tolerance(text: str) -> float:
+    """A float literal; one that is nonzero and rounds to 0.0 is refused.
+
+    nan, inf and negative values pass: the stabilization config and the
+    iteration context refuse them with their own messages.
+    """
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if x == 0 and _rational(text) != 0:
+        raise argparse.ArgumentTypeError(
+            f"bad literal {text!r}: a nonzero value rounds to 0.0 in machine precision"
+        )
+    return x
 
 
 def _load_series(path: str, cfg: PrecisionConfig):
@@ -122,7 +159,7 @@ def _affine_input(args, cfg: PrecisionConfig, order: int, check_unity: bool = Tr
     """
     if getattr(args, "series", None):
         return _load_series(args.series, cfg)
-    p = AffineParams(cfg.scalar(args.b), cfg.scalar(args.s))
+    p = AffineParams(_round_literal(cfg, args.b, "--b"), _round_literal(cfg, args.s, "--s"))
     if check_unity:
         p.ensure_order(max(order, 1))
     return affine_series(p, max(order, 1))
@@ -311,7 +348,8 @@ def _cmd_iterate(args) -> str:
     # exact b and s: log_poly must see the rational base, not its rounding
     p = AffineParams(args.b, args.s)
     if args.n is None:
-        ctx = exact_log_context(p.b, p.s, cfg, bracket=args.bracket, tol=args.tol)
+        b, s = _round_literal(cfg, p.b, "--b"), _round_literal(cfg, p.s, "--s")
+        ctx = exact_log_context(b, s, cfg, bracket=args.bracket, tol=args.tol)
     else:
         if args.bracket is None:
             raise UsageError("--bracket lo:hi is required with --n (polynomial inversion)")
@@ -319,7 +357,8 @@ def _cmd_iterate(args) -> str:
     rows = []
     for t in args.t:
         for z in args.z:
-            w = fractional_iterate(ctx, cfg.scalar(t), cfg.scalar(z))
+            tv, zv = _round_literal(cfg, t, "--t"), _round_literal(cfg, z, "--z")
+            w = fractional_iterate(ctx, tv, zv)
             rows.append(
                 [format_scalar(t), format_scalar(z), format_scalar(w, cfg.dps)]
             )
@@ -332,6 +371,7 @@ def _cmd_explore_exp(args) -> str:
         raise UsageError("give exactly one of --Ns or --N-max")
     Ns = args.Ns if args.Ns is not None else list(range(1, args.N_max + 1))
     check_truncation_sizes(Ns)
+    _round_literal(cfg, args.s, "--s")  # only the check: the series rounds s itself
     f = exp_shift_series(args.s, max(Ns) - 1, cfg)
     stab = StabilizationConfig(args.tol_abs, args.tol_rel, args.window)
     report = intuitive_sweep(f, Ns, cfg, stab)
@@ -380,8 +420,8 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_rational, default=Fraction(1))
     p.add_argument("--Ns", type=_int_range, required=True, help="e.g. 1:32 or 1,2,4,8")
     p.add_argument("--series", default=None)
-    p.add_argument("--tol-abs", type=float, default=1e-9)
-    p.add_argument("--tol-rel", type=float, default=1e-9)
+    p.add_argument("--tol-abs", type=_tolerance, default=1e-9)
+    p.add_argument("--tol-rel", type=_tolerance, default=1e-9)
     p.add_argument("--window", type=int, default=3)
     common(p, fmt_default="json")
     p.set_defaults(fn=_cmd_sweep)
@@ -417,7 +457,7 @@ def build_parser() -> _Parser:
     p.add_argument("--z", type=_rational_list, required=True)
     p.add_argument("--n", type=int, default=None, help="polynomial degree (default: exact log)")
     p.add_argument("--bracket", type=_bracket, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(fn=_cmd_iterate)
 
@@ -425,8 +465,8 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_rational, default=Fraction(0))
     p.add_argument("--Ns", type=_int_range, default=None)
     p.add_argument("--N-max", dest="N_max", type=int, default=None)
-    p.add_argument("--tol-abs", type=float, default=1e-9)
-    p.add_argument("--tol-rel", type=float, default=1e-9)
+    p.add_argument("--tol-abs", type=_tolerance, default=1e-9)
+    p.add_argument("--tol-rel", type=_tolerance, default=1e-9)
     p.add_argument("--window", type=int, default=3)
     common(p, fmt_default="json", precision_default="bits:256")
     p.set_defaults(fn=_cmd_explore_exp)

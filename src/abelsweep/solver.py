@@ -213,6 +213,12 @@ def intuitive_sweep(
 ) -> SweepReport:
     """Solve the truncations A|_N x = u|_N for each N and classify coefficients.
 
+    The system is built once, at the largest N: column n of the Bell matrix
+    holds the coefficients of f**n and truncation commutes with the product,
+    so each N-truncation is its leading N x N block, with the first N
+    entries of u as right-hand side. Each block holds the scalars a build at
+    N would give, so every solve is the same as with a build per N.
+
     Singular truncations are recorded and skipped, never aborting the sweep.
     A coefficient index with no successful solve at all gets the singular-at
     verdict listing the failed truncation sizes. The sizes and the order of
@@ -225,9 +231,11 @@ def intuitive_sweep(
     solutions: dict[int, tuple | None] = {}
     singular: list[int] = []
     with cfg.workprec():
+        full = abel_system(f, max(Ns))
         for N in Ns:
+            block = AbelSystem(tuple(row[:N] for row in full.A[:N]), full.rhs[:N], N)
             try:
-                solutions[N] = solve_truncated(abel_system(f, N))
+                solutions[N] = solve_truncated(block)
             except SingularSystemError:
                 solutions[N] = None
                 singular.append(N)

@@ -1,0 +1,127 @@
+"""Regenerate tests/golden_corpus.json, the byte-identity corpus of the CLI.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/make_golden_corpus.py
+
+Each of README's example and acceptance-table commands runs under every
+precision (the command's default, exact, machine and bits:64) and every
+format (the command's default, csv and json), in this process through
+``abelsweep.cli.main``. An entry records the argv, the exit code and the
+SHA-256 of stdout and of stderr. ``tests/test_golden_corpus.py`` replays
+the corpus; a change that moves bytes regenerates it and lists the moved
+entries in CHANGES.md.
+
+Entries slower than 0.5 s are left out, so that the replay stays a few
+seconds long; they are listed in ``DROPPED`` with the time one run took
+when the list was made (2-core host, Python 3.11, mpmath's pure-Python
+backend). An entry that is not listed and takes longer is reported on
+stderr, and the corpus keeps it until it is listed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import sys
+import time
+
+from abelsweep.cli import main
+
+CORPUS = pathlib.Path(__file__).with_name("golden_corpus.json")
+SLOW_S = 0.5
+
+#: README's example and acceptance-table commands, without their --precision
+COMMANDS = (
+    "matrix --b 2 --s 1 --N 4",
+    "matrix --b 2 --s 1 --N 3 --system",
+    "solve --b 2 --s 1 --N 8",
+    "sweep --b 2 --s 1 --Ns 1:32",
+    "affine --b 2 --s 1 --n 2 --method all",
+    "affine --b 2 --s 1 --n 16 --method all",
+    "logapprox --b 1/2 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9",
+    "logapprox --b 1/3 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9",
+    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9",
+    "logapprox --b 1/2 --n 20 --xs 1/2,1/4,1/8,1/16,1/32",
+    "invariance --b 1/2 --s1 1 --s2 2 --n 200 --xs 0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+    "invariance --b 1/2 --s1 1 --s2 2 --n 200"
+    " --xs 0.2,0.27,0.35,0.43,0.51,0.59,0.66,0.74,0.82,0.9",
+    "iterate --b 2 --s 1 --t 1/2 --z 1",
+    "iterate --b 1/2 --s 1 --n 200 --bracket -0.95:0.95 --t 1 --z 0.3",
+    "solve --b 1 --s 1 --N 3",
+    "solve --b 2 --s 0 --N 3",
+    "explore-exp --N-max 24",
+    "explore-bgt1 --b 2 --n 200",
+)
+PRECISIONS = ("", "--precision exact", "--precision machine", "--precision bits:64")
+FORMATS = ("", "--format csv", "--format json")
+
+#: entries over SLOW_S, with the seconds one run took
+DROPPED: dict[str, float] = {
+    "sweep --b 2 --s 1 --Ns 1:32": 0.81,
+    "sweep --b 2 --s 1 --Ns 1:32 --format csv": 0.85,
+    "sweep --b 2 --s 1 --Ns 1:32 --format json": 0.77,
+    "sweep --b 2 --s 1 --Ns 1:32 --precision exact": 0.96,
+    "sweep --b 2 --s 1 --Ns 1:32 --precision exact --format csv": 1.00,
+    "sweep --b 2 --s 1 --Ns 1:32 --precision exact --format json": 1.00,
+    "sweep --b 2 --s 1 --Ns 1:32 --precision bits:64": 0.82,
+    "sweep --b 2 --s 1 --Ns 1:32 --precision bits:64 --format csv": 0.78,
+    "sweep --b 2 --s 1 --Ns 1:32 --precision bits:64 --format json": 0.80,
+    "logapprox --b 1/2 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact": 0.51,
+    "logapprox --b 1/2 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format csv": 0.52,
+    "logapprox --b 1/2 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format json": 0.51,
+    "logapprox --b 1/3 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact": 0.87,
+    "logapprox --b 1/3 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format csv": 0.90,
+    "logapprox --b 1/3 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format json": 1.06,
+    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact": 3.40,
+    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format csv": 3.31,
+    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format json": 3.33,
+    "explore-exp --N-max 24": 0.57,
+    "explore-exp --N-max 24 --format csv": 0.57,
+    "explore-exp --N-max 24 --format json": 0.58,
+    "explore-exp --N-max 24 --precision bits:64": 0.53,
+    "explore-exp --N-max 24 --precision bits:64 --format csv": 0.53,
+    "explore-exp --N-max 24 --precision bits:64 --format json": 0.54,
+}
+
+
+def candidates() -> list[str]:
+    return [
+        " ".join(part for part in (command, precision, fmt) if part)
+        for command in COMMANDS
+        for precision in PRECISIONS
+        for fmt in FORMATS
+    ]
+
+
+def run(argv: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.split())
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    }
+
+
+def write_corpus() -> None:
+    entries = []
+    for argv in candidates():
+        if argv in DROPPED:
+            continue
+        start = time.perf_counter()
+        entries.append(run(argv))
+        seconds = time.perf_counter() - start
+        if seconds > SLOW_S:
+            print(f"slow ({seconds:.2f} s), add to DROPPED: {argv!r}", file=sys.stderr)
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    write_corpus()

@@ -380,6 +380,10 @@ class TestScalarConversions:
               "--t", "1", "--z", "0.3"), 2),
             (("iterate", "--b", "1/2", "--s", "1e-400", "--n", "20", "--bracket", "-0.9:0.9",
               "--t", "1", "--z", "0.3"), 2),
+            (("iterate", "--b", "1/2", "--s", "1e-400", "--n", "12", "--bracket", "1e-400:1",
+              "--t", "1e-400", "--z", "1e-400"), 1),
+            (("iterate", "--b", "1/2", "--s", "1", "--n", "12", "--bracket", "-0.9:0.9",
+              "--t", "1", "--z", "0.3", "--tol", "1e-400"), 1),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, want):
@@ -396,6 +400,55 @@ class TestScalarConversions:
             assert "machine precision" in err
         for bad in ("inf", "nan", "j)"):
             assert bad not in out
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            ("explore-exp --N-max 5 --s 700 --precision machine",
+             "error: the coefficients of f**2 in the Bell matrix built at N=5"
+             " are outside the float range of machine precision\n"),
+            ("sweep --b 1e300 --s 1 --Ns 1:6 --precision machine",
+             "error: the coefficients of f**2 in the Bell matrix built at N=6"
+             " are outside the float range of machine precision\n"),
+        ],
+    )
+    def test_overflow_names_the_power_and_the_size_built(self, capsys, argv, err):
+        # a sweep builds one Bell matrix, at its largest N
+        assert run(capsys, *argv.split()) == (1, "", err)
+
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            ("iterate --b 1/2 --s 1e-400 --n 12 --bracket 1e-400:1 --t 1e-400 --z 1e-400",
+             "bad --bracket '1e-400:1'"),
+            ("iterate --b 1/2 --s 1 --n 12 --bracket=-0.9:0.9 --t 1 --z 0.3 --tol 1e-400",
+             "argument --tol: bad literal '1e-400'"),
+            ("sweep --b 2 --s 1 --Ns 1:4 --tol-abs 1e-400", "argument --tol-abs: bad literal '1e-400'"),
+            ("explore-exp --N-max 4 --tol-rel -1e-999", "argument --tol-rel: bad literal '-1e-999'"),
+            ("solve --b 1e-400 --s 1 --N 3 --precision machine", "bad --b '1.0e-400'"),
+            ("sweep --b 2 --s -1e-330 --Ns 1:4 --precision machine", "bad --s '-1.0e-330'"),
+            ("explore-exp --s 1e-400 --N-max 3 --precision machine", "bad --s '1.0e-400'"),
+            ("iterate --b 2 --s 1 --t 1e-400 --z 1 --precision machine", "bad --t '1.0e-400'"),
+            ("iterate --b 2 --s 1 --t 1 --z 1/2,1e-400 --precision machine", "bad --z '1.0e-400'"),
+        ],
+    )
+    def test_nonzero_literal_rounding_to_zero_is_refused(self, capsys, argv, bad):
+        want = f"usage error: {bad}: a nonzero value rounds to 0.0 in machine precision\n"
+        assert run(capsys, *argv.split()) == (1, "", want)
+
+    @pytest.mark.parametrize(
+        "argv,row",
+        [
+            ("affine --b 2 --s 1e300 --n 2 --method direct --precision machine", "2,-0.0"),
+            ("logapprox --b 1/2 --n 20 --xs 1/2 --precision machine", "20,1/2,1.0,1.0,0.0"),
+            ("iterate --b 2 --s 1 --t 1e-400 --z 1", None),
+        ],
+    )
+    def test_computed_values_and_bigfloat_literals_keep_their_rounding(self, capsys, argv, row):
+        # 0.0 is the correct rounding of a tiny computed value; bigfloat holds 1e-400
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and not err
+        assert row is None or out.splitlines()[-1] == row
 
     def test_lattice_identity_command(self, capsys):
         # README criterion 4: P_n(b**m) = sum_{i<m} 1 - (1 - b**i)**n, exactly

@@ -17,7 +17,9 @@ from abelsweep import (
     intuitive_sweep,
     solve_truncated,
 )
+from abelsweep import solver
 from abelsweep.carleman import AbelSystem
+from abelsweep.powerseries import exp_shift_series
 
 
 IDENTITY = TruncatedSeries((F(0), F(1), F(0), F(0)))
@@ -25,6 +27,12 @@ IDENTITY = TruncatedSeries((F(0), F(1), F(0), F(0)))
 
 def affine(b, s, order):
     return affine_series(AffineParams(F(b), F(s)), order)
+
+
+def one_minus_x_plus_x2(cfg, N):
+    """f = 1 - x + x**2 in cfg's scalars, of order N - 1 or more: A_2 is singular, A_3 regular."""
+    coeffs = (1, -1, 1) + (0,) * max(N - 3, 0)
+    return TruncatedSeries(tuple(cfg.scalar(c) for c in coeffs))
 
 
 class TestSolveTruncated:
@@ -86,11 +94,6 @@ class TestSolveTruncated:
         )
         assert solve_truncated(scaled) == x
 
-    @staticmethod
-    def _one_minus_x_plus_x2(cfg, N):
-        coeffs = (1, -1, 1) + (0,) * max(N - 3, 0)
-        return TruncatedSeries(tuple(cfg.scalar(c) for c in coeffs))
-
     @pytest.mark.parametrize(
         "cfg",
         [PrecisionConfig("exact"), PrecisionConfig("machine"), PrecisionConfig("bigfloat", bits=128)],
@@ -99,7 +102,7 @@ class TestSolveTruncated:
     @pytest.mark.parametrize("N", [2, 5])
     def test_singular_truncations_of_one_minus_x_plus_x2(self, cfg, N):
         with cfg.workprec(), pytest.raises(SingularSystemError):
-            solve_truncated(abel_system(self._one_minus_x_plus_x2(cfg, N), N))
+            solve_truncated(abel_system(one_minus_x_plus_x2(cfg, N), N))
 
     @pytest.mark.parametrize("N", [3, 4, 6, 7])
     def test_row_swap_of_one_minus_x_plus_x2(self, N):
@@ -107,7 +110,7 @@ class TestSolveTruncated:
         # so elimination must swap rows; the float paths pivot on their own
         from abelsweep.scalars import as_fraction
 
-        sysN = abel_system(self._one_minus_x_plus_x2(PrecisionConfig("exact"), N), N)
+        sysN = abel_system(one_minus_x_plus_x2(PrecisionConfig("exact"), N), N)
         x = solve_truncated(sysN)
         assert [sum(a * v for a, v in zip(row, x)) for row in sysN.A] == [1] + [0] * (N - 1)
         scale = max(abs(v) for v in x)
@@ -116,7 +119,7 @@ class TestSolveTruncated:
             (PrecisionConfig("bigfloat", bits=128), F(1, 10**30)),
         ):
             with cfg.workprec():
-                y = solve_truncated(abel_system(self._one_minus_x_plus_x2(cfg, N), N))
+                y = solve_truncated(abel_system(one_minus_x_plus_x2(cfg, N), N))
             assert max(abs(as_fraction(a) - b) for a, b in zip(y, x)) <= tol * scale
 
 
@@ -217,3 +220,71 @@ class TestIntuitiveSweep:
         a = intuitive_sweep(g, range(1, 11), cfg)
         b = intuitive_sweep(g, range(1, 11), cfg)
         assert a == b
+
+
+EXACT = PrecisionConfig("exact")
+MACHINE = PrecisionConfig("machine")
+BITS256 = PrecisionConfig("bigfloat", bits=256)
+
+
+class TestSweepSolvesLeadingBlocks:
+    """The sweep builds one system at max(Ns); each truncation is its leading block."""
+
+    @staticmethod
+    def per_N(f, Ns, cfg):
+        """Trajectories and singular sizes from a system built afresh for every N."""
+        solutions = {}
+        with cfg.workprec():
+            for N in Ns:
+                try:
+                    solutions[N] = solve_truncated(abel_system(f, N))
+                except SingularSystemError:
+                    solutions[N] = None
+        trajectories = {
+            n: tuple(None if solutions[N] is None else solutions[N][n - 1] for N in Ns if N >= n)
+            for n in range(1, max(Ns) + 1)
+        }
+        return trajectories, tuple(N for N in Ns if solutions[N] is None)
+
+    @pytest.mark.parametrize("cfg", [EXACT, BITS256, MACHINE], ids=["exact", "bits:256", "machine"])
+    @pytest.mark.parametrize(
+        "series,Ns,singular",
+        [
+            (one_minus_x_plus_x2, range(1, 9), (2, 5)),  # A_2 singular, A_3 regular
+            (one_minus_x_plus_x2, (1, 3, 7), ()),
+            (lambda cfg, N: exp_shift_series(0, N - 1, cfg), range(1, 13), ()),
+            (lambda cfg, N: exp_shift_series(0, N - 1, cfg), (1, 3, 7), ()),
+            (lambda cfg, N: affine_series(AffineParams(cfg.scalar(F(1, 2)), cfg.scalar(2)), N - 1),
+             range(1, 11), ()),
+        ],
+        ids=["1-x+x2-dense", "1-x+x2-sparse", "exp-dense", "exp-sparse", "affine-dense"],
+    )
+    def test_trajectories_equal_a_build_per_N(self, cfg, series, Ns, singular):
+        Ns = tuple(Ns)
+        with cfg.workprec():
+            f = series(cfg, max(Ns))
+        report = intuitive_sweep(f, Ns, cfg)
+        trajectories, singular_Ns = self.per_N(f, Ns, cfg)
+        assert report.trajectories == trajectories
+        assert report.singular_Ns == singular_Ns == singular
+
+    def test_machine_exp_sweep_to_40_with_singular_truncations(self):
+        Ns = tuple(range(1, 41))
+        f = exp_shift_series(0, 39, MACHINE)
+        report = intuitive_sweep(f, Ns, MACHINE)
+        trajectories, singular_Ns = self.per_N(f, Ns, MACHINE)
+        assert report.trajectories == trajectories
+        assert report.singular_Ns == singular_Ns
+        assert singular_Ns  # the pivot threshold calls the largest sizes singular (ROADMAP item 6)
+
+    @pytest.mark.parametrize("Ns", [range(1, 9), (1, 3, 7)], ids=["dense", "sparse"])
+    def test_one_sweep_builds_one_system(self, monkeypatch, Ns):
+        sizes = []
+
+        def recording(f, N):
+            sizes.append(N)
+            return abel_system(f, N)
+
+        monkeypatch.setattr(solver, "abel_system", recording)
+        intuitive_sweep(affine(2, 1, 7), Ns, EXACT)
+        assert sizes == [max(Ns)]
