@@ -42,7 +42,6 @@ from .scalars import (
     PrecisionConfig,
     Scalar,
     as_fraction,
-    binomial,
     check_log_domain,
     check_not_root_of_unity,
     ratio_to_float,
@@ -102,7 +101,7 @@ def beta_recurrence(p: AffineParams, n: int, m: int) -> Fraction:
     nums, den = [(-1) ** m * Q**m], Q**m - P**m
     for k in range(m + 1, n + 1):
         d = Q**k - P**k
-        top = sum(u * (binomial(k, i) * (Q - P) ** (k - i) * P**i) for i, u in enumerate(nums, m))
+        top = sum(u * (math.comb(k, i) * (Q - P) ** (k - i) * P**i) for i, u in enumerate(nums, m))
         nums = [u * d for u in nums] + [top]
         den *= d
     return Fraction(nums[-1], den) / as_fraction(p.s) ** m
@@ -116,7 +115,7 @@ def beta_direct(p: AffineParams, n: int, m: int) -> Fraction:
     b = as_fraction(p.b)
     acc = 0
     for k in range(m, n + 1):
-        term = binomial(n, k) * binomial(k, m)
+        term = math.comb(n, k) * math.comb(k, m)
         acc = acc + (term if k % 2 == 0 else -term) / (1 - b**k)
     return acc / as_fraction(p.s) ** m
 
@@ -270,7 +269,7 @@ def onpow_identity(n: int, y) -> tuple:
     y = as_fraction(y)
     lhs = 0
     for k in range(1, n + 1):
-        c = binomial(n, k)
+        c = math.comb(n, k)
         lhs = lhs + (c if k % 2 == 1 else -c) * y**k
     rhs = 1 - (1 - y) ** n
     return lhs, rhs
@@ -281,7 +280,7 @@ def remainder(n: int, j: int, b) -> Fraction:
     b = as_fraction(b)
     acc = 0
     for i in range(j + 1):
-        c = binomial(j, i)
+        c = math.comb(j, i)
         term = c * (1 - b**i) ** n
         acc = acc + (term if (j - i) % 2 == 0 else -term)
     return acc
@@ -292,7 +291,7 @@ def remainder_bound(j: int, n: int, b) -> Fraction:
     b = as_fraction(b)
     acc = 0
     for i in range(j + 1):
-        acc = acc + binomial(j, i) * abs(1 - b**i) ** n
+        acc = acc + math.comb(j, i) * abs(1 - b**i) ** n
     return acc
 
 

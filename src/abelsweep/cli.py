@@ -1,8 +1,10 @@
 """Command-line surface.
 
 One command per invocation; deterministic output (byte-identical for a fixed
-configuration and precision mode) to stdout or --out. Numeric parameters
-accept decimal or "p/q" literals. Exit codes: 0 success, 1 I/O or
+configuration and precision mode) to stdout or --out. ``main`` runs the
+command under its --precision's working precision, so no command sets
+mpmath's precision itself. Numeric parameters accept decimal or "p/q"
+literals. Exit codes: 0 success, 1 I/O or
 configuration errors, 2 domain errors (s=0, root of unity, singular system,
 a real logarithm outside b > 0, b != 1, x > 0).
 """
@@ -198,19 +200,18 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_matrix(args) -> str:
     cfg = args.precision
-    with cfg.workprec():
-        f = _affine_input(args, cfg, args.N - 1, check_unity=False)
-        if args.system:
-            sysN = abel_system(f, args.N)
-            rows = [
-                [format_scalar(v, cfg.dps) for v in row] + [format_scalar(sysN.rhs[m], cfg.dps)]
-                for m, row in enumerate(sysN.A)
-            ]
-            header = [f"a{n + 1}" for n in range(args.N)] + ["rhs"]
-        else:
-            bm = bell_matrix(f, args.N)
-            rows = [[format_scalar(v, cfg.dps) for v in row] for row in bm.entries]
-            header = [f"n{n}" for n in range(args.N + 1)]
+    f = _affine_input(args, cfg, args.N - 1, check_unity=False)
+    if args.system:
+        sysN = abel_system(f, args.N)
+        rows = [
+            [format_scalar(v, cfg.dps) for v in row] + [format_scalar(sysN.rhs[m], cfg.dps)]
+            for m, row in enumerate(sysN.A)
+        ]
+        header = [f"a{n + 1}" for n in range(args.N)] + ["rhs"]
+    else:
+        bm = bell_matrix(f, args.N)
+        rows = [[format_scalar(v, cfg.dps) for v in row] for row in bm.entries]
+        header = [f"n{n}" for n in range(args.N + 1)]
     if args.format == "json":
         return _json({"N": args.N, "rows": rows})
     return _csv(header, rows)
@@ -218,10 +219,8 @@ def _cmd_matrix(args) -> str:
 
 def _cmd_solve(args) -> str:
     cfg = args.precision
-    with cfg.workprec():
-        f = _affine_input(args, cfg, args.N - 1)
-        x = solve_truncated(abel_system(f, args.N))
-        vals = [format_scalar(v, cfg.dps) for v in x]
+    x = solve_truncated(abel_system(_affine_input(args, cfg, args.N - 1), args.N))
+    vals = [format_scalar(v, cfg.dps) for v in x]
     if args.format == "json":
         return _json({"N": args.N, "coefficients": vals})
     return _csv(["index", "value"], [[str(i + 1), v] for i, v in enumerate(vals)])
@@ -231,8 +230,7 @@ def _cmd_sweep(args) -> str:
     cfg = args.precision
     Ns = args.Ns
     stab = StabilizationConfig(args.tol_abs, args.tol_rel, args.window)
-    with cfg.workprec():
-        f = _affine_input(args, cfg, max(Ns) - 1)
+    f = _affine_input(args, cfg, max(Ns) - 1)
     report = intuitive_sweep(f, Ns, cfg, stab)
     return _render_sweep(report, args.format, cfg, stab)
 
@@ -275,8 +273,7 @@ def _cmd_affine(args) -> str:
     columns: dict[str, list] = {}
     for method in methods:
         if method == "system":
-            with cfg.workprec():
-                vec = solve_truncated(abel_system(_affine_input(args, cfg, args.n), args.n))
+            vec = solve_truncated(abel_system(_affine_input(args, cfg, args.n), args.n))
         else:
             beta = beta_recurrence if method == "recurrence" else beta_direct
             vec = [cfg.scalar(beta(p, args.n, m)) for m in range(1, args.n + 1)]
@@ -485,7 +482,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = args.fn(args)
+        with args.precision.workprec():
+            text = args.fn(args)
         _emit(text, args.out)
         return 0
     except UsageError as exc:

@@ -55,8 +55,8 @@ class IterationContext:
                 "fractional iteration finds roots to a tolerance and has no exact mode;"
                 " use bigfloat or machine precision"
             )
-        if not self.tol > 0:
-            raise ValueError("inversion tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"inversion tolerance must be finite and positive, got {self.tol}")
         lo, hi = self.bracket
         if not lo < hi:
             raise ValueError("bracket must satisfy lo < hi")
@@ -125,14 +125,16 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
     unlike the Illinois rule's constant 1/2, the factor stays near 1 while
     the steps shrink the residual fast. The secant weight is rounded to a
     float, so a float (or int, or Fraction) bracket gives float points and
-    an mpf bracket mpf points.
+    an mpf bracket mpf points. Everything from abel(z) on runs under the
+    context's ``cfg.workprec()``: the result does not depend on mpmath's
+    precision at the call.
 
     BracketError when t + abel(z) is not between the values at the bracket
     ends; it names t, z and the range of t that the bracket reaches from z.
     """
-    az = ctx.abel(z)
-    target = az + t
     with ctx.cfg.workprec():
+        az = ctx.abel(z)
+        target = az + t
         lo, hi = ctx.bracket
         flo, fhi = ctx._ends[0] - target, ctx._ends[1] - target
         if flo == 0:

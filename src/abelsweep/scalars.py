@@ -140,13 +140,6 @@ def is_finite(x) -> bool:
     return bool(mpmath.isfinite(x))
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for integers, exact; 0 outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def check_not_root_of_unity(b, max_k: int) -> None:
     """Raise RootOfUnityError if b**k == 1 for some 1 <= k <= max_k.
 

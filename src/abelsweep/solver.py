@@ -172,7 +172,8 @@ class SweepReport:
     coefficient n's Verdict and ``singular_Ns`` lists the singular
     truncations. The report holds scalars of the sweep's precision mode and
     no text: the CLI renders it as JSON or CSV. It is deterministic: it
-    depends only on the inputs, not on solve order.
+    depends only on the inputs, not on solve order or on mpmath's ambient
+    precision.
     """
 
     Ns: tuple
@@ -219,6 +220,10 @@ def intuitive_sweep(
     entries of u as right-hand side. Each block holds the scalars a build at
     N would give, so every solve is the same as with a build per N.
 
+    The build, the solves and the classification all run under
+    ``cfg.workprec()``, so a verdict's limit and last_delta carry cfg's
+    precision whatever mpmath's precision is at the call.
+
     Singular truncations are recorded and skipped, never aborting the sweep.
     A coefficient index with no successful solve at all gets the singular-at
     verdict listing the failed truncation sizes. The sizes and the order of
@@ -230,6 +235,8 @@ def intuitive_sweep(
 
     solutions: dict[int, tuple | None] = {}
     singular: list[int] = []
+    trajectories: dict[int, tuple] = {}
+    verdicts: dict[int, Verdict] = {}
     with cfg.workprec():
         full = abel_system(f, max(Ns))
         for N in Ns:
@@ -240,21 +247,19 @@ def intuitive_sweep(
                 solutions[N] = None
                 singular.append(N)
 
-    trajectories: dict[int, tuple] = {}
-    verdicts: dict[int, Verdict] = {}
-    for n in range(1, max(Ns) + 1):
-        relevant = [N for N in Ns if N >= n]
-        traj = [
-            None if solutions[N] is None else solutions[N][n - 1] for N in relevant
-        ]
-        trajectories[n] = tuple(traj)
-        good = [v for v in traj if v is not None]
-        if not good:
-            verdicts[n] = Verdict(
-                "singular-at", singular_Ns=tuple(N for N in relevant if solutions[N] is None)
-            )
-        else:
-            verdicts[n] = classify_trajectory(good, stab)
+        for n in range(1, max(Ns) + 1):
+            relevant = [N for N in Ns if N >= n]
+            traj = [
+                None if solutions[N] is None else solutions[N][n - 1] for N in relevant
+            ]
+            trajectories[n] = tuple(traj)
+            good = [v for v in traj if v is not None]
+            if not good:
+                verdicts[n] = Verdict(
+                    "singular-at", singular_Ns=tuple(N for N in relevant if solutions[N] is None)
+                )
+            else:
+                verdicts[n] = classify_trajectory(good, stab)
     return SweepReport(tuple(Ns), trajectories, verdicts, tuple(singular))
 
 

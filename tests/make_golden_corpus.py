@@ -6,9 +6,10 @@ Run from the repository root:
 
 Each of README's example and acceptance-table commands runs under every
 precision (the command's default, exact, machine and bits:64) and every
-format (the command's default, csv and json), in this process through
-``abelsweep.cli.main``. An entry records the argv, the exit code and the
-SHA-256 of stdout and of stderr. ``tests/test_golden_corpus.py`` replays
+format (the command's default, csv and json), and each ``PINNED`` command
+runs once as given, all in this process through ``abelsweep.cli.main``.
+An entry records the argv, the exit code and the SHA-256 of stdout and of
+stderr. ``tests/test_golden_corpus.py`` replays
 the corpus; a change that moves bytes regenerates it and lists the moved
 entries in CHANGES.md.
 
@@ -56,6 +57,20 @@ COMMANDS = (
     "explore-exp --N-max 24",
     "explore-bgt1 --b 2 --n 200",
 )
+#: commands run once as given: exact-mode outputs whose bytes no change may
+#: move, and bigfloat sweeps with stabilized verdicts (limit and last_delta)
+PINNED = (
+    "matrix --b 2 --s 1 --N 4 --precision exact",
+    "sweep --b 2 --s 1 --Ns 1:16 --precision exact",
+    "affine --b 2 --s 1 --n 16 --method all",
+    "affine --b 1/3 --s -1 --n 24 --method all --precision exact",
+    "logapprox --b 1/2 --n 20 --xs 1/2,1/4,1/8,1/16,1/32 --precision exact",
+    "explore-exp --N-max 12 --precision exact",
+    "affine --b 1/3 --s 1 --n 60 --method recurrence --precision exact",
+    "explore-exp --N-max 12 --s 1/3",
+    "explore-exp --N-max 16 --tol-abs 1e-3 --tol-rel 0",
+    "sweep --b 9/10 --s 1 --Ns 1:20 --tol-abs 1e-2 --tol-rel 0 --precision bits:256",
+)
 PRECISIONS = ("", "--precision exact", "--precision machine", "--precision bits:64")
 FORMATS = ("", "--format csv", "--format json")
 
@@ -89,12 +104,13 @@ DROPPED: dict[str, float] = {
 
 
 def candidates() -> list[str]:
-    return [
+    crossed = [
         " ".join(part for part in (command, precision, fmt) if part)
         for command in COMMANDS
         for precision in PRECISIONS
         for fmt in FORMATS
     ]
+    return crossed + [argv for argv in PINNED if argv not in crossed]
 
 
 def run(argv: str) -> dict:

@@ -122,7 +122,7 @@ class TestBetaValues:
         with pytest.raises(ValueError):
             beta_direct(AffineParams(2j, 1.0), 3, 2)
 
-    def test_recurrence_memo_keeps_exact_apart_from_float(self):
+    def test_recurrence_gives_one_fraction_for_float_and_exact_base(self):
         # 0.125 == F(1, 8): a float base runs on its exact value, so both
         # calls give the same Fraction, whichever type came first
         beta_recurrence(AffineParams(0.125, 1), 6, 1)

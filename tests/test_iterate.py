@@ -182,7 +182,7 @@ class TestPolynomialContext:
             fractional_iterate(ctx, 1, 0.3)
 
 
-class TestIllinoisSteps:
+class TestPegasusSteps:
     @pytest.mark.parametrize("k", [9, 25])
     def test_power_reaches_closed_form_root(self, k):
         # abel(z) = z**k is flat near 0 and steep near 1, where plain regula
@@ -193,6 +193,12 @@ class TestIllinoisSteps:
         root = float(z**k + t) ** (1 / k)
         assert abs(got - root) <= 1e-12
         assert len(seen) <= 16
+
+    @pytest.mark.parametrize("t,end", [(0, 1.0), (2, 4.0)])
+    def test_target_at_a_bracket_end_returns_that_end(self, t, end):
+        # log_2 is 0 at 1 and 2 at 4, so the target is a stored end value
+        ctx = exact_log_context(2, 1, MACHINE, bracket=(1.0, 4.0))
+        assert fractional_iterate(ctx, t, 1.0) == end
 
     def test_no_sign_change_is_bracket_error(self):
         ctx = IterationContext(abel=lambda z: z**9, bracket=(0, 1), tol=1e-12)
@@ -211,6 +217,12 @@ class TestContextValidation:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError):
             IterationContext(abel=lambda z: z, bracket=(0, 1), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tol):
+        # an infinite tolerance would accept the first secant point as the root
+        with pytest.raises(ValueError, match="finite and positive"):
+            IterationContext(abel=lambda z: z, bracket=(0, 1), tol=tol)
 
     def test_bracket_must_be_ordered(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abelsweep import PrecisionConfig, RootOfUnityError, format_scalar
-from abelsweep.scalars import ROOT_OF_UNITY_TOL, as_fraction, binomial, check_not_root_of_unity
+from abelsweep.scalars import ROOT_OF_UNITY_TOL, as_fraction, check_not_root_of_unity
 
 
 class TestParseRational:
@@ -74,13 +74,6 @@ class TestFormatting:
             x = mpmath.mpf(1) / 3
             text = format_scalar(x, dps=40)
         assert text.startswith("0.3333333333333333333333333333333")
-
-
-class TestBinomials:
-    def test_matches_pascal(self):
-        assert [binomial(5, k) for k in range(6)] == [1, 5, 10, 10, 5, 1]
-        assert binomial(10, -1) == 0
-        assert binomial(10, 11) == 0
 
 
 class TestRootOfUnity:
