@@ -89,7 +89,7 @@ def abel_system(f: TruncatedSeries, N: int) -> AbelSystem:
     rows = []
     for m in range(N):
         row = list(bell.entries[m][1:])
-        if 1 <= m <= N:
+        if m >= 1:
             row[m - 1] = row[m - 1] - 1
         rows.append(tuple(row))
     zero = bell.entries[0][0] * 0

@@ -148,23 +148,19 @@ def _tolerance(text: str) -> float:
     return x
 
 
-def _load_series(path: str, cfg: PrecisionConfig):
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh), cfg)
+def _affine_input(args, cfg: PrecisionConfig, N: int, check_unity: bool = True):
+    """The map of a size-N command: --series FILE, or b*(x+s) - s to degree max(N - 1, 1).
 
-
-def _affine_input(args, cfg: PrecisionConfig, order: int, check_unity: bool = True):
-    """Series from --series FILE or the built-in affine generator.
-
-    ``check_unity`` applies the root-of-unity validation of the generator
-    parameters; matrix dumps skip it (assembly never divides by 1 - b**k).
+    ``check_unity`` refuses b**k == 1 for some k <= N, where the solution
+    divides by 1 - b**k; matrix dumps skip it (assembly never divides).
     """
     if getattr(args, "series", None):
-        return _load_series(args.series, cfg)
+        with open(args.series, "r", encoding="utf-8") as fh:
+            return from_json_dict(json.load(fh), cfg)
     p = AffineParams(_round_literal(cfg, args.b, "--b"), _round_literal(cfg, args.s, "--s"))
     if check_unity:
-        p.ensure_order(max(order, 1))
-    return affine_series(p, max(order, 1))
+        p.ensure_order(N)
+    return affine_series(p, max(N - 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +196,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_matrix(args) -> str:
     cfg = args.precision
-    f = _affine_input(args, cfg, args.N - 1, check_unity=False)
+    f = _affine_input(args, cfg, args.N, check_unity=False)
     if args.system:
         sysN = abel_system(f, args.N)
         rows = [
@@ -219,7 +215,7 @@ def _cmd_matrix(args) -> str:
 
 def _cmd_solve(args) -> str:
     cfg = args.precision
-    x = solve_truncated(abel_system(_affine_input(args, cfg, args.N - 1), args.N))
+    x = solve_truncated(abel_system(_affine_input(args, cfg, args.N), args.N))
     vals = [format_scalar(v, cfg.dps) for v in x]
     if args.format == "json":
         return _json({"N": args.N, "coefficients": vals})
@@ -227,16 +223,14 @@ def _cmd_solve(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    cfg = args.precision
-    Ns = args.Ns
+    return _sweep(args, _affine_input(args, args.precision, max(args.Ns)), args.Ns)
+
+
+def _sweep(args, f, Ns) -> str:
+    """f swept over Ns, as CSV rows (index, N, value, verdict) or as JSON with the config."""
+    cfg, fmt = args.precision, args.format
     stab = StabilizationConfig(args.tol_abs, args.tol_rel, args.window)
-    f = _affine_input(args, cfg, max(Ns) - 1)
     report = intuitive_sweep(f, Ns, cfg, stab)
-    return _render_sweep(report, args.format, cfg, stab)
-
-
-def _render_sweep(report, fmt: str, cfg: PrecisionConfig, stab: StabilizationConfig) -> str:
-    """The report as CSV rows (index, N, value, verdict), or as JSON with the config."""
     if fmt == "csv":
         rows = []
         for n in sorted(report.trajectories):
@@ -363,16 +357,12 @@ def _cmd_iterate(args) -> str:
 
 
 def _cmd_explore_exp(args) -> str:
-    cfg = args.precision
     if (args.Ns is None) == (args.N_max is None):
         raise UsageError("give exactly one of --Ns or --N-max")
     Ns = args.Ns if args.Ns is not None else list(range(1, args.N_max + 1))
     check_truncation_sizes(Ns)
-    _round_literal(cfg, args.s, "--s")  # only the check: the series rounds s itself
-    f = exp_shift_series(args.s, max(Ns) - 1, cfg)
-    stab = StabilizationConfig(args.tol_abs, args.tol_rel, args.window)
-    report = intuitive_sweep(f, Ns, cfg, stab)
-    return _render_sweep(report, args.format, cfg, stab)
+    _round_literal(args.precision, args.s, "--s")  # only the check: the series rounds s itself
+    return _sweep(args, exp_shift_series(args.s, max(Ns) - 1, args.precision), Ns)
 
 
 def _cmd_explore_bgt1(args) -> str:
@@ -395,31 +385,33 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
         p.add_argument("--out", default=None)
 
+    def affine_map(p):
+        p.add_argument("--b", type=_rational, default=Fraction(2))
+        p.add_argument("--s", type=_rational, default=Fraction(1))
+        p.add_argument("--series", default=None, help="JSON series file instead of --b/--s")
+
+    def stabilization(p):
+        p.add_argument("--tol-abs", type=_tolerance, default=1e-9)
+        p.add_argument("--tol-rel", type=_tolerance, default=1e-9)
+        p.add_argument("--window", type=int, default=3)
+
     p = sub.add_parser("matrix", help="dump the Bell matrix (or Abel system) of a map")
-    p.add_argument("--b", type=_rational, default=Fraction(2))
-    p.add_argument("--s", type=_rational, default=Fraction(1))
+    affine_map(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--series", default=None, help="JSON series file instead of --b/--s")
     p.add_argument("--system", action="store_true", help="dump A|rhs instead of the Bell matrix")
     common(p)
     p.set_defaults(fn=_cmd_matrix)
 
     p = sub.add_parser("solve", help="solve one truncated Abel system")
-    p.add_argument("--b", type=_rational, default=Fraction(2))
-    p.add_argument("--s", type=_rational, default=Fraction(1))
+    affine_map(p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--series", default=None)
     common(p)
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("sweep", help="solve truncations over increasing N and classify")
-    p.add_argument("--b", type=_rational, default=Fraction(2))
-    p.add_argument("--s", type=_rational, default=Fraction(1))
+    affine_map(p)
     p.add_argument("--Ns", type=_int_range, required=True, help="e.g. 1:32 or 1,2,4,8")
-    p.add_argument("--series", default=None)
-    p.add_argument("--tol-abs", type=_tolerance, default=1e-9)
-    p.add_argument("--tol-rel", type=_tolerance, default=1e-9)
-    p.add_argument("--window", type=int, default=3)
+    stabilization(p)
     common(p, fmt_default="json")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -447,7 +439,7 @@ def build_parser() -> _Parser:
     common(p, fmt_default="json")
     p.set_defaults(fn=_cmd_invariance)
 
-    p = sub.add_parser("iterate", help="fractional iterates through an Abel function")
+    p = sub.add_parser("iterate", help="fractional iterates: b*x by exact log, b*(x+s) - s by --n")
     p.add_argument("--b", type=_rational, required=True)
     p.add_argument("--s", type=_rational, required=True)
     p.add_argument("--t", type=_rational_list, required=True)
@@ -462,9 +454,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=_rational, default=Fraction(0))
     p.add_argument("--Ns", type=_int_range, default=None)
     p.add_argument("--N-max", dest="N_max", type=int, default=None)
-    p.add_argument("--tol-abs", type=_tolerance, default=1e-9)
-    p.add_argument("--tol-rel", type=_tolerance, default=1e-9)
-    p.add_argument("--window", type=int, default=3)
+    stabilization(p)
     common(p, fmt_default="json", precision_default="bits:256")
     p.set_defaults(fn=_cmd_explore_exp)
 
@@ -492,7 +482,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

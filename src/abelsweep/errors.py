@@ -45,18 +45,22 @@ class BracketError(DomainError):
     """Numerical inversion failed: no sign change over the supplied bracket.
 
     ``reach`` is the range of t that the bracket ends reach from z,
-    abel(lo) - abel(z) and abel(hi) - abel(z) in increasing order. It does
-    not depend on the Abel function's free additive constant.
+    abel(lo) - abel(z) and abel(hi) - abel(z) in increasing order, and
+    ``width`` its length |abel(hi) - abel(lo)|, which stays readable when
+    z lies far outside the bracket and both ends print alike. Neither
+    depends on the Abel function's free additive constant.
     """
 
-    def __init__(self, lo, hi, t, z, reach):
+    def __init__(self, lo, hi, t, z, reach, width):
         self.lo = lo
         self.hi = hi
         self.t = t
         self.z = z
         self.reach = tuple(sorted(reach))
+        self.width = abs(width)
         tmin, tmax = (mpmath.nstr(r, 6) for r in self.reach)
         super().__init__(
             f"no sign change on bracket [{lo}, {hi}] for t={mpmath.nstr(t, 6)} at "
             f"z={mpmath.nstr(z, 6)}: from z the bracket reaches t in [{tmin}, {tmax}]"
+            f", an interval of width {mpmath.nstr(self.width, 6)}"
         )

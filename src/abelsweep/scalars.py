@@ -32,6 +32,8 @@ from typing import Union
 import mpmath
 from mpmath import mp
 
+from .errors import DomainError, RootOfUnityError
+
 Scalar = Union[int, float, Fraction, mpmath.mpf]
 
 MODES = ("machine", "bigfloat", "exact")
@@ -150,8 +152,6 @@ def check_not_root_of_unity(b, max_k: int) -> None:
     use |b**k - 1| < 1e-12, so the failure is reproducible rather than
     precision-dependent. A complex b raises ValueError, as in ``as_fraction``.
     """
-    from .errors import RootOfUnityError
-
     if isinstance(b, (int, Fraction)):
         k = 1 if b == 1 else 2 if b == -1 else None
     elif isinstance(b, (complex, mpmath.mpc)):
@@ -165,8 +165,6 @@ def check_not_root_of_unity(b, max_k: int) -> None:
 
 def check_log_domain(b, x, name: str = "x") -> None:
     """Raise DomainError unless log_b(x) is real: b > 0, b != 1 and x > 0."""
-    from .errors import DomainError
-
     if not (b > 0 and b != 1):
         raise DomainError(f"the real logarithm needs a base b > 0 with b != 1, got b={b}")
     if not x > 0:

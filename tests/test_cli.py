@@ -29,6 +29,21 @@ class TestExitCodes:
         assert code == 2
         assert "root of unity" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--N", "2"),
+            ("sweep", "--Ns", "1:2"),
+            ("affine", "--n", "2", "--method", "system"),
+        ],
+    )
+    def test_root_of_unity_checked_up_to_the_size(self, capsys, argv):
+        # a size-2 system of b = -1 divides by 1 - b**2: every command solving it
+        # refuses it with the same line
+        code, out, err = run(capsys, *argv, "--b", "-1", "--s", "1", "--precision", "exact")
+        assert (code, out) == (2, "")
+        assert err == "domain error: base -1 is a root of unity: b**2 == 1\n"
+
     def test_zero_shift_is_domain_error(self, capsys):
         code, _, err = run(capsys, "solve", "--b", "2", "--s", "0", "--N", "3")
         assert code == 2
@@ -295,6 +310,29 @@ class TestReports:
         assert "[0.0, 5.0] for t=0.5 at z=1.0" in err
         assert "reaches t in [" in err and "6.76" not in err
 
+    def test_iterate_bracket_miss_far_outside_prints_the_width(self, capsys):
+        # P_200 at z/s + 1 = 2.5, outside its disk |y - 1| < 1: abel(z) is near
+        # -1.65e35, so both ends of the reach print alike to 6 digits
+        code, out, err = run(
+            capsys,
+            "iterate", "--b", "1/2", "--s", "1", "--n", "200",
+            "--bracket", "-0.95:0.95", "--t", "1", "--z", "1.5",
+        )
+        assert code == 2 and not out and len(err.strip().split("\n")) == 1
+        assert "reaches t in [-1.65292e+35, -1.65292e+35]" in err
+        # |abel(0.95) - abel(-0.95)| = log2(1.95/0.05), up to P_n's error
+        width = float(err.rsplit("an interval of width ", 1)[1])
+        assert abs(width - math.log2(39)) < 1e-4
+
+    def test_iterate_exact_log_iterates_b_x_for_every_s(self, capsys):
+        # without --n the map is b*x and s only fixes the Abel function's
+        # constant; with --n it is b*(x+s) - s. Unifying them is a change of output
+        for s in ("1", "3", "1/7"):
+            code, out, _ = run(capsys, "iterate", "--b", "2", "--s", s, "--t", "1/2", "--z", "1")
+            assert (code, out) == (0, "t,z,value\n1/2,1,1.414213562345499\n")
+        code, out, _ = run(capsys, "iterate", "--b", "1/2", "--s", "1", "--t", "1", "--z", "0.3")
+        assert (code, out) == (0, "t,z,value\n1,3/10,0.1499999999975407\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -388,6 +426,11 @@ class TestScalarConversions:
             (("iterate", "--b", "2", "--s", "1", "--t", "1/2", "--z", "1", "--tol", "x"), 1),
             (("iterate", "--b", "2", "--s", "1", "--t", "1/2", "--z", "1", "--bracket", "1"), 1),
             (("sweep", "--b", "2", "--s", "1", "--Ns", "1:2:3:4"), 1),
+            # b = -1 has b**k == 1 first at k = 2: a size-1 sweep and a matrix dump pass
+            (("sweep", "--b", "-1", "--s", "1", "--Ns", "1"), 0),
+            (("matrix", "--b", "-1", "--s", "1", "--N", "2", "--system"), 0),
+            # the size is checked, not the base at a size that solves nothing
+            (("solve", "--b", "1", "--s", "1", "--N", "0"), 1),
         ],
     )
     def test_exit_code_and_one_line(self, capsys, tmp_path, argv, want):

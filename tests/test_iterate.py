@@ -151,6 +151,7 @@ class TestPolynomialContext:
         # log_{1/2}(1.95/1.3) and log_{1/2}(0.05/1.3), up to P_n's error
         tmin, tmax = err.value.reach
         assert abs(tmin + math.log2(1.5)) < 1e-3 and abs(tmax - math.log2(26)) < 1e-3
+        assert abs(err.value.width - math.log2(39)) < 1e-3
         assert "t=-40 at z=0.3" in str(err.value) and "[-0.95, 0.95]" in str(err.value)
 
     def test_bracket_failure_is_free_of_the_additive_constant(self, halving):
