@@ -18,6 +18,8 @@ rounds each result once: their alternating binomial sums cancel from terms
 of about 2**n to O(1), which float arithmetic would not survive. Only the
 root-of-unity check sees b as given, so a float b within 1e-12 of a root of
 unity is still refused.
+P_n is kept as sum_k c_k (x**k - 1), so nothing builds its exact constant
+term, and an exact value is one balanced sum of those terms.
 Bigfloat and machine evaluation of P_n run Horner's rule in fixed point on
 Python integers, where its coefficients of size up to about 2**n cancel
 exactly and only the per-step truncations add up: the working precision
@@ -131,16 +133,16 @@ def beta_polynomial(p: AffineParams, n: int) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class LogApproxPoly:
-    """Degree-n polynomial approximating log_b, in the monomial basis.
+    """Degree-n polynomial approximating log_b: sum_k c_k (x**k - anchor).
 
-    Its value at 1 is exactly 0 (every building block vanishes there), and at
-    b it is exactly 1. Elsewhere its error does not vanish as n grows: it
-    oscillates log-periodically in n, up to about 3e-6 on [b, 1] for b=1/2
-    and 5e-4 for b=1/3. ``iterate.poly_abel_context`` holds P_n - P_n(0)
-    instead, with c_0 = 0: an Abel function needs no constant term.
+    ``coeffs`` holds c_1..c_n. P_n has anchor 1, so its value at 1 is
+    exactly 0, and at b it is exactly 1. Elsewhere its error does not vanish
+    as n grows: it oscillates log-periodically in n, up to about 3e-6 on
+    [b, 1] for b=1/2 and 5e-4 for b=1/3. ``iterate.poly_abel_context``
+    holds P_n - P_n(0), the same c_k with anchor 0.
 
     ``_fixed`` memoizes the coefficients rounded for fixed-point evaluation:
-    (G, (floor(c_0*2**G), ..., floor(c_n*2**G))) for the largest fraction-bit
+    (G, (floor(c_1*2**G), ..., floor(c_n*2**G))) for the largest fraction-bit
     count G requested so far. Since floor(floor(c*2**G) / 2**(G-F)) equals
     floor(c*2**F), any F <= G reads its coefficients as shifts of these. It
     takes no part in comparison, hashing or repr, and is replaced as one
@@ -149,15 +151,16 @@ class LogApproxPoly:
 
     n: int
     b: Scalar
-    coeffs: tuple  # c_0..c_n
+    coeffs: tuple  # c_1..c_n
+    anchor: int = 1
     _fixed: tuple = field(default=(-1, ()), init=False, compare=False, hash=False, repr=False)
 
 
-def _log_coeffs(b, n: int) -> tuple:
-    """c_1..c_n of P_n, with c_k = (-1)**k C(n,k) / (1 - b**k), as exact Fractions.
+def log_poly(b, n: int) -> LogApproxPoly:
+    """P_n(x) = sum_k C(n,k) (-1)^(k+1) (1 - x**k) / (1 - b**k), with anchor 1.
 
-    These alone fix P_n - P_n(0), which is all an Abel function needs. The
-    root-of-unity check runs on b as given; then b = P/Q is its exact value
+    The polynomial keeps the exact value of b as its b. The root-of-unity
+    check runs on b as given; then b = P/Q is its exact value
     (``as_fraction``, ValueError if b is not real), and each coefficient is
     the one Fraction (-1)**k C(n,k) Q**k / (Q**k - P**k), with C(n,k), P**k
     and Q**k carried from k-1 to k.
@@ -174,41 +177,29 @@ def _log_coeffs(b, n: int) -> tuple:
         pk *= num
         qk *= den
         coeffs.append(Fraction(c * qk if k % 2 == 0 else -c * qk, qk - pk))
-    return tuple(coeffs)
-
-
-def log_poly(b, n: int) -> LogApproxPoly:
-    """Coefficients of sum_k C(n,k) (-1)^(k+1) (1 - x**k) / (1 - b**k).
-
-    Fractions for the exact value of b, which the polynomial keeps as its b.
-    The constant term is minus the sum of the others. It is summed pairwise:
-    the exact denominators grow with every term, and a balanced sum keeps
-    the operands of most additions small.
-    """
-    coeffs = _log_coeffs(b, n)
-    terms = list(coeffs)
-    while len(terms) > 1:
-        pairs = [u + v for u, v in zip(terms[::2], terms[1::2])]
-        terms = pairs + terms[2 * len(pairs):]
-    return LogApproxPoly(n, as_fraction(b), (-terms[0],) + coeffs)
+    return LogApproxPoly(n, b, tuple(coeffs))
 
 
 def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
-    """Horner evaluation; the float modes run it in fixed point on integers.
+    """sum_k c_k (x**k - anchor); the float modes run Horner in fixed point on integers.
 
-    Exact mode needs a rational x and returns a Fraction. Bigfloat and
-    machine mode keep x exact as p/q, round each coefficient once down to an
-    integer multiple of 2**-F, and run ``acc = acc*p // q + C_k`` on
-    integers; when q = 2**k, as for every float and mpf x, the floor
-    division is the shift ``acc*p >> k``, with the same result. The
-    alternating terms of size up to 2**n cancel exactly, and only the n+1
-    coefficient roundings and n floor divisions (each below 2**-F) add up,
-    amplified by at most max(1, |x|)**n. With
-    F = bits + guard_bits + ceil(n*log2|x|)_+ + bit_length(n+1) the error
-    is below 2**(1 - bits - guard_bits), whatever n and x are. Bigfloat mode
-    returns the sum as an mpf of F bits. Machine mode takes bits = 53 and
-    rounds the sum once to the nearest float; a sum outside the float range
-    raises ValueError.
+    Exact mode needs a rational x and returns a Fraction, the pairwise sum
+    of the terms (x**k carried from k-1 to k): the exact denominators grow
+    with every term, and a balanced sum keeps most operands small.
+    Bigfloat and machine mode keep x exact as p/q, round each coefficient
+    once down to C_k, an integer multiple of 2**-F, run
+    ``acc = (acc + C_k)*p // q`` on integers from C_n to C_1, and subtract
+    anchor * sum_k C_k, so P_n(1) is exactly 0. When q = 2**k, as for every
+    float and mpf x, the floor division is a right shift, with the same
+    result. The alternating terms of size up to 2**n cancel exactly; n
+    coefficient roundings and n floor divisions (each below 2**-F),
+    amplified by at most max(1, |x|)**n, and less than |anchor|*n in the
+    constant add up. With F = bits + guard_bits + ceil(n*log2|x|)_+
+    + bit_length(n+1) + bit_length(|anchor|), one bit more for P_n than for
+    anchor 0, the error is below 2**(1 - bits - guard_bits), whatever n and
+    x are. Bigfloat mode returns the sum as an mpf of F bits. Machine mode
+    takes bits = 53 and rounds the sum once to the nearest float; a sum
+    outside the float range raises ValueError.
 
     The rounded coefficients are memoized on the polynomial at the largest F
     requested so far, G; a call at F <= G reads them as C_k >> (G - F),
@@ -216,17 +207,22 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
     """
     xq = as_fraction(x)
     if cfg.exact:
-        acc = Fraction(0)
-        for c in reversed(pL.coeffs):
-            acc = acc * xq + c
-        return acc
+        terms, xk = [], 1
+        for c in pL.coeffs:
+            xk *= xq
+            terms.append(c * (xk - pL.anchor))
+        while len(terms) > 1:
+            pairs = [u + v for u, v in zip(terms[::2], terms[1::2])]
+            terms = pairs + terms[2 * len(pairs):]
+        return terms[0]
     machine = cfg.mode == "machine"
     p, q = xq.numerator, xq.denominator
     # log2|x| from the exact integers: float(x) overflows for huge x
     growth = math.log2(abs(p)) - math.log2(q) if p else 0.0
     frac_bits = (
-        (sys.float_info.mant_dig if machine else cfg.bits)
-        + cfg.guard_bits + max(0, math.ceil(pL.n * growth)) + (pL.n + 1).bit_length()
+        (sys.float_info.mant_dig if machine else cfg.bits) + cfg.guard_bits
+        + max(0, math.ceil(pL.n * growth)) + (pL.n + 1).bit_length()
+        + abs(pL.anchor).bit_length()
     )
     fixed_bits, fixed = pL._fixed
     if fixed_bits < frac_bits:
@@ -238,11 +234,13 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
     acc = 0
     if q & (q - 1):
         for c in reversed(fixed):
-            acc = acc * p // q + (c >> shift)
+            acc = (acc + (c >> shift)) * p // q
     else:  # binary point: floor division by 2**k is a right shift
         k = q.bit_length() - 1
         for c in reversed(fixed):
-            acc = (acc * p >> k) + (c >> shift)
+            acc = (acc + (c >> shift)) * p >> k
+    if pL.anchor:
+        acc -= pL.anchor * sum(c >> shift for c in fixed)
     if machine:
         return ratio_to_float(acc, 1 << frac_bits)
     return mpmath.mpf((acc, -frac_bits), prec=frac_bits)

@@ -58,9 +58,11 @@ class BracketError(DomainError):
         self.z = z
         self.reach = tuple(sorted(reach))
         self.width = abs(width)
-        tmin, tmax = (mpmath.nstr(r, 6) for r in self.reach)
+        t6, z6, tmin, tmax, w6 = (  # nstr prints a float's full repr, an mpf's 6 digits
+            mpmath.nstr(mpmath.mpf(v) if isinstance(v, float) else v, 6)
+            for v in (t, z, *self.reach, self.width)
+        )
         super().__init__(
-            f"no sign change on bracket [{lo}, {hi}] for t={mpmath.nstr(t, 6)} at "
-            f"z={mpmath.nstr(z, 6)}: from z the bracket reaches t in [{tmin}, {tmax}]"
-            f", an interval of width {mpmath.nstr(self.width, 6)}"
+            f"no sign change on bracket [{lo}, {hi}] for t={t6} at z={z6}: from z the"
+            f" bracket reaches t in [{tmin}, {tmax}], an interval of width {w6}"
         )

@@ -13,7 +13,7 @@ when it is built.
 
 An Abel function is fixed only up to an additive constant, and the inverse
 of t + abel(z) does not see it: the polynomial context evaluates
-P_n - P_n(0) and never builds P_n's exact constant term.
+P_n - P_n(0), P_n's coefficients with anchor 0.
 
 The two contexts iterate different maps: ``exact_log_context`` f(x) = b*x,
 where s > 0 only fixes the constant log_b(s), and ``poly_abel_context``
@@ -23,12 +23,12 @@ g(x) = b*(x+s) - s. At b = 1/2, s = 1, t = 1, z = 0.3 they give 0.15 and -0.35.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import mpmath
 
-from .affine import AffineParams, LogApproxPoly, _log_coeffs, eval_log_poly
+from .affine import AffineParams, eval_log_poly, log_poly
 from .errors import BracketError, DomainError
 from .scalars import PrecisionConfig, Scalar, as_fraction, check_log_domain, sign
 
@@ -98,16 +98,15 @@ def poly_abel_context(
 ) -> IterationContext:
     """Context for g(x) = b*(x+s) - s using the degree-n Abel polynomial.
 
-    The evaluator is P_n(z/s + 1) - P_n(0), the s-free approximant without
-    its constant term. Its point z/s + 1 is computed exactly, from the exact
-    values of z and s, and evaluated by eval_log_poly's fixed-point Horner: its
-    error stays below 2**(1 - bits - guard_bits) at every degree, and the
-    working precision exceeds bits + guard_bits + log2(n+1) only where
-    |z/s + 1| > 1. Dropping P_n(0) leaves the iterated function unchanged
-    and saves its exact sum, whose denominator has tens of thousands of bits
-    at n=300.
+    The evaluator is P_n(z/s + 1) - P_n(0): ``log_poly``'s coefficients
+    with anchor 0, which leaves the iterated function unchanged and spares
+    each evaluation P_n's constant and its extra bit. Its point z/s + 1 is
+    computed exactly, from the exact values of z and s, and evaluated by
+    eval_log_poly's fixed-point Horner: its error stays below
+    2**(1 - bits - guard_bits) at every degree, and the working precision
+    exceeds bits + guard_bits + log2(n+1) only where |z/s + 1| > 1.
     """
-    poly = LogApproxPoly(n, p.b, (0,) + _log_coeffs(p.b, n))
+    poly = replace(log_poly(p.b, n), anchor=0)
     s = as_fraction(p.s)
 
     def abel(z):

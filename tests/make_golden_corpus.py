@@ -11,7 +11,8 @@ runs once as given, all in this process through ``abelsweep.cli.main``.
 An entry records the argv, the exit code and the SHA-256 of stdout and of
 stderr. ``tests/test_golden_corpus.py`` replays
 the corpus; a change that moves bytes regenerates it and lists the moved
-entries in CHANGES.md.
+entries in CHANGES.md. The script prints to stderr the argv of every entry
+that moved, appeared or vanished relative to the corpus it overwrites.
 
 Entries slower than 0.5 s are left out, so that the replay stays a few
 seconds long; they are listed in ``DROPPED`` with the time one run took
@@ -85,15 +86,9 @@ DROPPED: dict[str, float] = {
     "sweep --b 2 --s 1 --Ns 1:32 --precision bits:64": 0.82,
     "sweep --b 2 --s 1 --Ns 1:32 --precision bits:64 --format csv": 0.78,
     "sweep --b 2 --s 1 --Ns 1:32 --precision bits:64 --format json": 0.80,
-    "logapprox --b 1/2 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact": 0.51,
-    "logapprox --b 1/2 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format csv": 0.52,
-    "logapprox --b 1/2 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format json": 0.51,
-    "logapprox --b 1/3 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact": 0.87,
-    "logapprox --b 1/3 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format csv": 0.90,
-    "logapprox --b 1/3 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format json": 1.06,
-    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact": 3.40,
-    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format csv": 3.31,
-    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format json": 3.33,
+    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact": 0.85,
+    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format csv": 0.84,
+    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format json": 0.85,
     "explore-exp --N-max 24": 0.57,
     "explore-exp --N-max 24 --format csv": 0.57,
     "explore-exp --N-max 24 --format json": 0.58,
@@ -135,6 +130,15 @@ def write_corpus() -> None:
         seconds = time.perf_counter() - start
         if seconds > SLOW_S:
             print(f"slow ({seconds:.2f} s), add to DROPPED: {argv!r}", file=sys.stderr)
+    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
+    old, new = {e["argv"]: e for e in old}, {e["argv"]: e for e in entries}
+    for argv in list(new) + [argv for argv in old if argv not in new]:
+        if argv not in old:
+            print(f"appeared: {argv}", file=sys.stderr)
+        elif argv not in new:
+            print(f"vanished: {argv}", file=sys.stderr)
+        elif old[argv] != new[argv]:
+            print(f"moved: {argv}", file=sys.stderr)
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
 

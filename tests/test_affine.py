@@ -27,7 +27,6 @@ from abelsweep import (
     s_invariance_gap,
     solve_truncated,
 )
-from abelsweep.affine import _log_coeffs
 from abelsweep.scalars import as_fraction
 
 from conftest import small_rationals
@@ -144,10 +143,12 @@ class TestBetaValues:
 
 class TestLogPoly:
     def test_value_at_one_is_zero(self):
-        for n in (1, 2, 7, 20):
+        # the float modes subtract the anchored constant summed from the same
+        # rounded coefficients, so nothing is left over at 1
+        for n in (1, 2, 7, 20, 100):
             poly = log_poly(F(1, 2), n)
-            assert eval_log_poly(poly, F(1), EXACT) == 0
-            assert sum(poly.coeffs) == 0
+            for cfg in (EXACT, BIG, MACHINE):
+                assert eval_log_poly(poly, F(1), cfg) == 0
 
     @pytest.mark.parametrize("b", [F(1, 2), F(1, 3), F(3)])
     def test_value_at_base_is_one(self, b):
@@ -178,9 +179,25 @@ class TestLogPoly:
         # the integer recurrences build each c_k as one Fraction; the
         # formula as written is the reference, term by term
         want = tuple((-1) ** k * math.comb(n, k) / (1 - b**k) for k in range(1, n + 1))
-        got = _log_coeffs(b, n)
+        got = log_poly(b, n).coeffs
         assert got == want
         assert all(type(c) is F for c in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(
+            lambda b: b not in (1, -1)
+        ),
+        st.integers(1, 12),
+        st.fractions(min_value=-3, max_value=3, max_denominator=16),
+    )
+    def test_exact_value_matches_the_defining_sum(self, b, n, x):
+        # the balanced sum of c_k (x**k - 1) against the definition, summed naively
+        want = sum(
+            F(math.comb(n, k) * (-1) ** (k + 1)) * (1 - x**k) / (1 - b**k)
+            for k in range(1, n + 1)
+        )
+        assert eval_log_poly(log_poly(b, n), x, EXACT) == want
 
     @pytest.mark.parametrize("n", [40, 200, 1100])
     def test_float_base_gives_the_exact_polynomial(self, n):

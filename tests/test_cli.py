@@ -312,17 +312,19 @@ class TestReports:
 
     def test_iterate_bracket_miss_far_outside_prints_the_width(self, capsys):
         # P_200 at z/s + 1 = 2.5, outside its disk |y - 1| < 1: abel(z) is near
-        # -1.65e35, so both ends of the reach print alike to 6 digits
-        code, out, err = run(
-            capsys,
-            "iterate", "--b", "1/2", "--s", "1", "--n", "200",
-            "--bracket", "-0.95:0.95", "--t", "1", "--z", "1.5",
-        )
-        assert code == 2 and not out and len(err.strip().split("\n")) == 1
-        assert "reaches t in [-1.65292e+35, -1.65292e+35]" in err
-        # |abel(0.95) - abel(-0.95)| = log2(1.95/0.05), up to P_n's error
-        width = float(err.rsplit("an interval of width ", 1)[1])
-        assert abs(width - math.log2(39)) < 1e-4
+        # -1.65e35, so both ends of the reach print alike to 6 digits, floats too
+        for precision in ((), ("--precision", "machine")):
+            code, out, err = run(
+                capsys,
+                "iterate", "--b", "1/2", "--s", "1", "--n", "200",
+                "--bracket", "-0.95:0.95", "--t", "1", "--z", "1.5", *precision,
+            )
+            assert code == 2 and not out and len(err.strip().split("\n")) == 1
+            assert "reaches t in [-1.65292e+35, -1.65292e+35]" in err
+            assert err.endswith(", an interval of width 5.28536\n")
+            # |abel(0.95) - abel(-0.95)| = log2(1.95/0.05), up to P_n's error
+            width = float(err.rsplit("an interval of width ", 1)[1])
+            assert abs(width - math.log2(39)) < 1e-4
 
     def test_iterate_exact_log_iterates_b_x_for_every_s(self, capsys):
         # without --n the map is b*x and s only fixes the Abel function's
@@ -488,6 +490,7 @@ class TestScalarConversions:
         [
             ("affine --b 2 --s 1e300 --n 2 --method direct --precision machine", "2,-0.0"),
             ("logapprox --b 1/2 --n 20 --xs 1/2 --precision machine", "20,1/2,1.0,1.0,0.0"),
+            ("logapprox --b 1/2 --n 100 --xs 1 --precision machine", "100,1,0.0,0.0,0.0"),
             ("iterate --b 2 --s 1 --t 1e-400 --z 1", None),
         ],
     )
