@@ -30,13 +30,13 @@ class BellMatrix:
 class AbelSystem:
     """Truncated system A x = u with A[m][n] = (f**(n+1))_m - I[m, n+1].
 
-    Row m runs over the first N coefficient equations; column n carries the
-    unknown alpha_{n+1}. The right-hand side is (1, 0, ..., 0).
+    Its size N is len(rhs). Row m runs over the first N coefficient
+    equations; column n carries the unknown alpha_{n+1}. The right-hand
+    side is (1, 0, ..., 0).
     """
 
     A: tuple
     rhs: tuple
-    N: int
 
 
 def check_truncation_sizes(Ns, order: int | None = None) -> None:
@@ -94,4 +94,4 @@ def abel_system(f: TruncatedSeries, N: int) -> AbelSystem:
         rows.append(tuple(row))
     zero = bell.entries[0][0] * 0
     rhs = (zero + 1,) + (zero,) * (N - 1)
-    return AbelSystem(tuple(rows), rhs, N)
+    return AbelSystem(tuple(rows), rhs)

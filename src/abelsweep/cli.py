@@ -31,7 +31,7 @@ from .affine import (
 )
 from .carleman import abel_system, bell_matrix, check_truncation_sizes
 from .errors import DomainError
-from .iterate import exact_log_context, fractional_iterate, poly_abel_context
+from .iterate import IterationContext, exact_log_context, fractional_iterate, poly_abel_context
 from .powerseries import exp_shift_series, from_json_dict
 from .scalars import PrecisionConfig, as_fraction, format_scalar
 from .solver import StabilizationConfig, intuitive_sweep, solve_truncated
@@ -361,8 +361,8 @@ def _cmd_explore_exp(args) -> str:
         raise UsageError("give exactly one of --Ns or --N-max")
     Ns = args.Ns if args.Ns is not None else list(range(1, args.N_max + 1))
     check_truncation_sizes(Ns)
-    _round_literal(args.precision, args.s, "--s")  # only the check: the series rounds s itself
-    return _sweep(args, exp_shift_series(args.s, max(Ns) - 1, args.precision), Ns)
+    s = _round_literal(args.precision, args.s, "--s")
+    return _sweep(args, exp_shift_series(s, max(Ns) - 1, args.precision), Ns)
 
 
 def _cmd_explore_bgt1(args) -> str:
@@ -391,9 +391,9 @@ def build_parser() -> _Parser:
         p.add_argument("--series", default=None, help="JSON series file instead of --b/--s")
 
     def stabilization(p):
-        p.add_argument("--tol-abs", type=_tolerance, default=1e-9)
-        p.add_argument("--tol-rel", type=_tolerance, default=1e-9)
-        p.add_argument("--window", type=int, default=3)
+        p.add_argument("--tol-abs", type=_tolerance, default=StabilizationConfig.tol_abs)
+        p.add_argument("--tol-rel", type=_tolerance, default=StabilizationConfig.tol_rel)
+        p.add_argument("--window", type=int, default=StabilizationConfig.window)
 
     p = sub.add_parser("matrix", help="dump the Bell matrix (or Abel system) of a map")
     affine_map(p)
@@ -446,7 +446,7 @@ def build_parser() -> _Parser:
     p.add_argument("--z", type=_rational_list, required=True)
     p.add_argument("--n", type=int, default=None, help="polynomial degree (default: exact log)")
     p.add_argument("--bracket", type=_bracket, default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=IterationContext.tol)
     common(p)
     p.set_defaults(fn=_cmd_iterate)
 

@@ -32,13 +32,9 @@ class ZeroShiftError(DomainError):
 class SingularSystemError(DomainError):
     """A truncated linear system is singular or numerically rank-deficient."""
 
-    def __init__(self, size, cond_estimate=None):
+    def __init__(self, size):
         self.size = size
-        self.cond_estimate = cond_estimate
-        msg = f"truncated system of size N={size} is singular"
-        if cond_estimate is not None:
-            msg += f" (condition estimate {cond_estimate})"
-        super().__init__(msg)
+        super().__init__(f"truncated system of size N={size} is singular")
 
 
 class BracketError(DomainError):

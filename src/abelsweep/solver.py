@@ -27,25 +27,27 @@ from .scalars import PrecisionConfig, Scalar, as_fraction, sign
 
 
 def solve_truncated(sys: AbelSystem) -> tuple:
-    """Solve A x = u; component k of the result is alpha^(N)_{k+1}.
+    """Solve A x = u; component k of the result is alpha^(N)_{k+1}, N = len(u).
 
-    Rational entries go through fraction-free Gaussian elimination (exact);
+    Rational entries go through Bareiss elimination over integers (exact);
     float and mpf entries go through dense LU with partial pivoting plus one
     step of iterative refinement, at the ambient mpmath precision for mpf.
+    Both end in the same back-substitution.
 
-    Raises SingularSystemError (carrying N and a condition estimate) for
-    singular or numerically rank-deficient matrices.
+    Raises SingularSystemError (carrying N) for singular or numerically
+    rank-deficient matrices.
     """
     exact = all(
         isinstance(x, (int, Fraction)) for row in sys.A for x in row
     ) and all(isinstance(x, (int, Fraction)) for x in sys.rhs)
     if exact:
-        return _solve_exact(sys.A, sys.rhs, sys.N)
-    return _solve_lu(sys.A, sys.rhs, sys.N)
+        return _solve_exact(sys.A, sys.rhs)
+    return _solve_lu(sys.A, sys.rhs)
 
 
-def _solve_exact(A, rhs, n: int) -> tuple:
+def _solve_exact(A, rhs) -> tuple:
     """Bareiss elimination over integers after clearing row denominators."""
+    n = len(rhs)
     M = []
     for i in range(n):
         row = [Fraction(x) for x in A[i]] + [Fraction(rhs[i])]
@@ -65,17 +67,13 @@ def _solve_exact(A, rhs, n: int) -> tuple:
             M[i][k] = 0
         prev = M[k][k]
 
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(M[i][n])
-        for j in range(i + 1, n):
-            acc -= M[i][j] * x[j]
-        x[i] = acc / M[i][i]
-    return tuple(x)
+    # a Fraction right-hand side keeps every quotient exact
+    return tuple(_back_substitute(M, [Fraction(M[i][n]) for i in range(n)]))
 
 
-def _solve_lu(A, rhs, n: int) -> tuple:
+def _solve_lu(A, rhs) -> tuple:
     """LU with partial pivoting and one iterative-refinement step."""
+    n = len(rhs)
     lu = [list(row) for row in A]
     perm = list(range(n))
     scale = max((abs(x) for row in A for x in row), default=0)
@@ -86,8 +84,7 @@ def _solve_lu(A, rhs, n: int) -> tuple:
     for k in range(n):
         piv = max(range(k, n), key=lambda r: abs(lu[r][k]))
         if abs(lu[piv][k]) <= tiny:
-            cond = _cond_estimate(lu, k)
-            raise SingularSystemError(n, cond)
+            raise SingularSystemError(n)
         if piv != k:
             lu[k], lu[piv] = lu[piv], lu[k]
             perm[k], perm[piv] = perm[piv], perm[k]
@@ -97,7 +94,7 @@ def _solve_lu(A, rhs, n: int) -> tuple:
             for j in range(k + 1, n):
                 lu[i][j] = lu[i][j] - m * lu[k][j]
 
-    x = _lu_solve(lu, perm, rhs, n)
+    x = _lu_solve(lu, perm, rhs)
     # one refinement step: residual in working precision, correction reuses the LU
     r = []
     for i in range(n):
@@ -105,28 +102,26 @@ def _solve_lu(A, rhs, n: int) -> tuple:
         for j in range(n):
             acc = acc - A[i][j] * x[j]
         r.append(acc)
-    d = _lu_solve(lu, perm, r, n)
+    d = _lu_solve(lu, perm, r)
     return tuple(x[i] + d[i] for i in range(n))
 
 
-def _lu_solve(lu, perm, b, n: int):
-    y = [b[perm[i]] for i in range(n)]
-    for i in range(n):
+def _lu_solve(lu, perm, b):
+    y = [b[p] for p in perm]
+    for i in range(len(y)):
         for j in range(i):
             y[i] = y[i] - lu[i][j] * y[j]
+    return _back_substitute(lu, y)
+
+
+def _back_substitute(U, y):
+    """Overwrite y with the solution of U x = y; U is read on and above its diagonal only."""
+    n = len(y)
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            y[i] = y[i] - lu[i][j] * y[j]
-        y[i] = y[i] / lu[i][i]
+            y[i] = y[i] - U[i][j] * y[j]
+        y[i] = y[i] / U[i][i]
     return y
-
-
-def _cond_estimate(lu, upto: int):
-    """Cheap proxy: max/min absolute U diagonal among the pivots found so far."""
-    diag = [abs(lu[i][i]) for i in range(upto) if abs(lu[i][i]) != 0]
-    if not diag:
-        return None
-    return float(max(diag) / min(diag))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def intuitive_sweep(
     with cfg.workprec():
         full = abel_system(f, max(Ns))
         for N in Ns:
-            block = AbelSystem(tuple(row[:N] for row in full.A[:N]), full.rhs[:N], N)
+            block = AbelSystem(tuple(row[:N] for row in full.A[:N]), full.rhs[:N])
             try:
                 solutions[N] = solve_truncated(block)
             except SingularSystemError:

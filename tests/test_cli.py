@@ -58,6 +58,14 @@ class TestExitCodes:
         assert code == 2
         assert "singular" in err
 
+    @pytest.mark.parametrize("precision", ["bits:128", "bits:64", "machine"])
+    def test_singular_message_is_one_line_in_every_float_mode(self, capsys, precision):
+        # exact mode solves this system: the float modes refuse it by their pivot threshold
+        argv = ("solve", "--b", "2", "--s", "1e-30", "--N", "12", "--precision", precision)
+        assert run(capsys, *argv) == (
+            2, "", "domain error: truncated system of size N=12 is singular\n"
+        )
+
     def test_bad_flag_is_config_error(self, capsys):
         code, _, _ = run(capsys, "solve", "--nope", "3")
         assert code == 1
@@ -250,6 +258,12 @@ class TestReports:
         lines = out.strip().split("\n")
         assert lines[0] == "n,x,approx,reference_log,abs_error"
         assert len(lines) == 3
+
+    def test_log_table_refuses_the_base_before_the_point(self, capsys):
+        # log_poly's root-of-unity check runs before reference_log's domain check
+        assert run(capsys, "logapprox", "--b", "1", "--n", "5", "--xs", "0.5") == (
+            2, "", "domain error: base 1 is a root of unity: b**1 == 1\n"
+        )
 
     def test_invariance_json(self, capsys):
         code, out, _ = run(
@@ -458,6 +472,12 @@ class TestScalarConversions:
              " are outside the float range of machine precision\n"),
             ("sweep --b 1e300 --s 1 --Ns 1:6 --precision machine",
              "error: the coefficients of f**2 in the Bell matrix built at N=6"
+             " are outside the float range of machine precision\n"),
+            ("explore-exp --N-max 180 --precision machine",
+             "error: the coefficients e**s/m! (s=0.0, m <= 179)"
+             " are outside the float range of machine precision\n"),
+            ("explore-exp --N-max 4 --s 710.1 --precision machine",
+             "error: the coefficients e**s/m! (s=710.1, m <= 3)"
              " are outside the float range of machine precision\n"),
         ],
     )

@@ -90,9 +90,32 @@ class TestSolveTruncated:
                 tuple(scales[m] * v for v in row) for m, row in enumerate(sysN.A)
             ),
             tuple(scales[m] * sysN.rhs[m] for m in range(5)),
-            5,
         )
         assert solve_truncated(scaled) == x
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [PrecisionConfig("exact"), PrecisionConfig("machine"), PrecisionConfig("bigfloat", bits=128)],
+        ids=["exact", "machine", "bits:128"],
+    )
+    def test_hand_built_system(self, cfg):
+        # the size is len(rhs); a zero leading pivot makes every mode swap rows
+        from abelsweep.scalars import as_fraction
+
+        A = ((0, 2, 1), (1, 1, 0), (3, 0, 1))
+        rhs = (1, 0, 2)
+        want = (F(1, 5), F(-1, 5), F(7, 5))
+        with cfg.workprec():
+            sysN = AbelSystem(
+                tuple(tuple(cfg.scalar(v) for v in row) for row in A),
+                tuple(cfg.scalar(v) for v in rhs),
+            )
+            x = solve_truncated(sysN)
+        assert len(x) == 3
+        if cfg.exact:
+            assert x == want
+        else:
+            assert max(abs(as_fraction(a) - b) for a, b in zip(x, want)) < F(1, 10**15)
 
     @pytest.mark.parametrize(
         "cfg",
