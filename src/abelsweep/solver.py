@@ -1,9 +1,12 @@
 """Solving the truncated Abel systems and detecting coefficient stabilization.
 
-``solve_truncated`` inverts one N-by-N truncation; ``intuitive_sweep`` runs
-it over increasing N and classifies each coefficient trajectory, because the
-per-coefficient limits over N (when they exist) are what defines the method's
-selected solution. ``abel_residual`` checks any candidate series against the
+``solve_truncated`` solves one N-by-N truncation; ``intuitive_sweep`` solves
+every truncation of one system built at the largest N and classifies each
+coefficient trajectory, because the per-coefficient limits over N (when they
+exist) are what defines the method's selected solution. In exact mode one
+Bareiss pass serves every N, and size N is singular when one of the first N
+steps finds no pivot in the first N rows; the float modes still factor each
+leading block. ``abel_residual`` checks any candidate series against the
 Abel equation itself.
 """
 
@@ -37,16 +40,37 @@ def solve_truncated(sys: AbelSystem) -> tuple:
     Raises SingularSystemError (carrying N) for singular or numerically
     rank-deficient matrices.
     """
+    N = len(sys.rhs)
+    x = _solve_blocks(sys, (N,))[N]
+    if x is None:
+        raise SingularSystemError(N)
+    return x
+
+
+def _solve_blocks(sys: AbelSystem, Ns) -> dict:
+    """Solve each leading N x N block of sys with the first N entries of rhs.
+
+    Maps every N in Ns to its solution, or to None where the block is
+    singular. Exact systems take one Bareiss pass over the whole system;
+    float and mpf systems factor each block on its own.
+    """
     exact = all(
         isinstance(x, (int, Fraction)) for row in sys.A for x in row
     ) and all(isinstance(x, (int, Fraction)) for x in sys.rhs)
     if exact:
-        return _solve_exact(sys.A, sys.rhs)
-    return _solve_lu(sys.A, sys.rhs)
+        return _solve_exact(sys.A, sys.rhs, Ns)
+    return {N: _solve_lu([row[:N] for row in sys.A[:N]], sys.rhs[:N]) for N in Ns}
 
 
-def _solve_exact(A, rhs) -> tuple:
-    """Bareiss elimination over integers after clearing row denominators."""
+def _solve_exact(A, rhs, Ns) -> dict:
+    """One Bareiss pass over integers after clearing row denominators.
+
+    After step k, entry (i, j) is the minor on the pivot rows and row i and
+    on columns 0..k and j (Bareiss 1968), whatever the width, so the first N
+    steps eliminate the leading N x N block as a pass on that block alone
+    would. A pivot found in row r > k makes the blocks of sizes k+1..r
+    singular, and a column without one makes every size past k singular.
+    """
     n = len(rhs)
     M = []
     for i in range(n):
@@ -54,12 +78,15 @@ def _solve_exact(A, rhs) -> tuple:
         scale = math.lcm(*(x.denominator for x in row))
         M.append([int(x * scale) for x in row])
 
+    singular = set()
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if M[r][k] != 0), None)
         if piv is None:
-            raise SingularSystemError(n)
+            singular.update(range(k + 1, n + 1))
+            break
         if piv != k:
+            singular.update(range(k + 1, piv + 1))
             M[k], M[piv] = M[piv], M[k]
         for i in range(k + 1, n):
             for j in range(k + 1, n + 1):
@@ -68,11 +95,12 @@ def _solve_exact(A, rhs) -> tuple:
         prev = M[k][k]
 
     # a Fraction right-hand side keeps every quotient exact
-    return tuple(_back_substitute(M, [Fraction(M[i][n]) for i in range(n)]))
+    y = [Fraction(M[i][n]) for i in range(n)]
+    return {N: None if N in singular else tuple(_back_substitute(M, y[:N])) for N in Ns}
 
 
-def _solve_lu(A, rhs) -> tuple:
-    """LU with partial pivoting and one iterative-refinement step."""
+def _solve_lu(A, rhs) -> tuple | None:
+    """LU with partial pivoting and one iterative-refinement step; None if singular."""
     n = len(rhs)
     lu = [list(row) for row in A]
     perm = list(range(n))
@@ -84,7 +112,7 @@ def _solve_lu(A, rhs) -> tuple:
     for k in range(n):
         piv = max(range(k, n), key=lambda r: abs(lu[r][k]))
         if abs(lu[piv][k]) <= tiny:
-            raise SingularSystemError(n)
+            return None
         if piv != k:
             lu[k], lu[piv] = lu[piv], lu[k]
             perm[k], perm[piv] = perm[piv], perm[k]
@@ -213,7 +241,10 @@ def intuitive_sweep(
     holds the coefficients of f**n and truncation commutes with the product,
     so each N-truncation is its leading N x N block, with the first N
     entries of u as right-hand side. Each block holds the scalars a build at
-    N would give, so every solve is the same as with a build per N.
+    N would give, so every solution is the same as with a build per N.
+    In exact mode one Bareiss pass over the built system eliminates every
+    leading block at once, and the pivot rows it picks tell which blocks are
+    singular; the float modes factor each block with its own pivoted LU.
 
     The build, the solves and the classification all run under
     ``cfg.workprec()``, so a verdict's limit and last_delta carry cfg's
@@ -228,34 +259,23 @@ def intuitive_sweep(
     Ns = list(Ns)
     check_truncation_sizes(Ns, f.order)
 
-    solutions: dict[int, tuple | None] = {}
-    singular: list[int] = []
     trajectories: dict[int, tuple] = {}
     verdicts: dict[int, Verdict] = {}
     with cfg.workprec():
-        full = abel_system(f, max(Ns))
-        for N in Ns:
-            block = AbelSystem(tuple(row[:N] for row in full.A[:N]), full.rhs[:N])
-            try:
-                solutions[N] = solve_truncated(block)
-            except SingularSystemError:
-                solutions[N] = None
-                singular.append(N)
-
+        solutions = _solve_blocks(abel_system(f, max(Ns)), Ns)
+        singular = tuple(N for N in Ns if solutions[N] is None)
         for n in range(1, max(Ns) + 1):
             relevant = [N for N in Ns if N >= n]
-            traj = [
+            traj = tuple(
                 None if solutions[N] is None else solutions[N][n - 1] for N in relevant
-            ]
-            trajectories[n] = tuple(traj)
+            )
+            trajectories[n] = traj
             good = [v for v in traj if v is not None]
-            if not good:
-                verdicts[n] = Verdict(
-                    "singular-at", singular_Ns=tuple(N for N in relevant if solutions[N] is None)
-                )
+            if not good:  # no solve succeeded, so every relevant size is singular
+                verdicts[n] = Verdict("singular-at", singular_Ns=tuple(relevant))
             else:
                 verdicts[n] = classify_trajectory(good, stab)
-    return SweepReport(tuple(Ns), trajectories, verdicts, tuple(singular))
+    return SweepReport(tuple(Ns), trajectories, verdicts, singular)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,8 @@ PINNED = (
     "explore-exp --N-max 12 --s 1/3",
     "explore-exp --N-max 16 --tol-abs 1e-3 --tol-rel 0",
     "sweep --b 9/10 --s 1 --Ns 1:20 --tol-abs 1e-2 --tol-rel 0 --precision bits:256",
+    "explore-exp --N-max 32 --precision exact",
+    "sweep --b 3/2 --s 1/3 --Ns 1:32 --precision exact",
 )
 PRECISIONS = ("", "--precision exact", "--precision machine", "--precision bits:64")
 FORMATS = ("", "--format csv", "--format json")

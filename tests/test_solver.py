@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelsweep import (
     AffineParams,
@@ -20,6 +22,7 @@ from abelsweep import (
 from abelsweep import solver
 from abelsweep.carleman import AbelSystem
 from abelsweep.powerseries import exp_shift_series
+from conftest import small_rationals
 
 
 IDENTITY = TruncatedSeries((F(0), F(1), F(0), F(0)))
@@ -269,6 +272,49 @@ class TestSweepSolvesLeadingBlocks:
         }
         return trajectories, tuple(N for N in Ns if solutions[N] is None)
 
+    @staticmethod
+    def is_singular(A):
+        """Whether the square rational matrix A has determinant 0, by plain Fraction elimination."""
+        M = [[F(v) for v in row] for row in A]
+        n = len(M)
+        for k in range(n):
+            piv = next((r for r in range(k, n) if M[r][k] != 0), None)
+            if piv is None:
+                return True
+            M[k], M[piv] = M[piv], M[k]
+            for i in range(k + 1, n):
+                m = M[i][k] / M[k][k]
+                for j in range(k, n):
+                    M[i][j] -= m * M[k][j]
+        return False
+
+    # sparse rational series of degree <= 9: f_0 is mostly nonzero (f_0 = 0
+    # makes every truncation singular), two later coefficients in three are 0
+    sparse_series = st.tuples(
+        small_rationals(2, 2),
+        st.lists(
+            st.integers(0, 2).flatmap(lambda roll: small_rationals(2, 2) if roll == 0 else st.just(F(0))),
+            max_size=9,
+        ),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=sparse_series, N_max=st.integers(1, 12), data=st.data())
+    def test_one_pass_on_sparse_rational_series(self, coeffs, N_max, data):
+        coeffs = (coeffs[0], *coeffs[1])
+        f = TruncatedSeries(coeffs + (F(0),) * max(N_max - len(coeffs), 0))
+        subset = data.draw(st.sets(st.integers(1, N_max), min_size=1))
+        for Ns in (tuple(range(1, N_max + 1)), tuple(sorted(subset))):
+            report = intuitive_sweep(f, Ns, EXACT)
+            for N in Ns:
+                A = abel_system(f, N).A
+                if N in report.singular_Ns:
+                    assert self.is_singular(A)
+                    continue
+                x = [report.trajectories[n][[M for M in Ns if M >= n].index(N)] for n in range(1, N + 1)]
+                assert [sum(a * v for a, v in zip(row, x)) for row in A] == [1] + [0] * (N - 1)
+            assert (report.trajectories, report.singular_Ns) == self.per_N(f, Ns, EXACT)
+
     @pytest.mark.parametrize("cfg", [EXACT, BITS256, MACHINE], ids=["exact", "bits:256", "machine"])
     @pytest.mark.parametrize(
         "series,Ns,singular",
@@ -311,3 +357,16 @@ class TestSweepSolvesLeadingBlocks:
         monkeypatch.setattr(solver, "abel_system", recording)
         intuitive_sweep(affine(2, 1, 7), Ns, EXACT)
         assert sizes == [max(Ns)]
+
+    @pytest.mark.parametrize("Ns", [range(1, 9), (1, 3, 7)], ids=["dense", "sparse"])
+    def test_one_exact_sweep_eliminates_once(self, monkeypatch, Ns):
+        calls = []
+        solve_exact = solver._solve_exact
+
+        def counting(*args):
+            calls.append(args)
+            return solve_exact(*args)
+
+        monkeypatch.setattr(solver, "_solve_exact", counting)
+        intuitive_sweep(one_minus_x_plus_x2(EXACT, max(Ns)), Ns, EXACT)
+        assert len(calls) == 1
