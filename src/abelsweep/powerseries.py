@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .scalars import PrecisionConfig, as_fraction, is_finite
+from .scalars import PrecisionConfig, as_fraction, dot, is_finite
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,12 @@ def pad(f: TruncatedSeries, order: int) -> TruncatedSeries:
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product (fg)_n = sum_k f_{n-k} g_k, truncated to the common order."""
+    """Cauchy product (fg)_n = sum_k f_k g_{n-k}, truncated to the common order.
+
+    Each coefficient is one ``scalars.dot``, summed from f_0 g_n to f_n g_0.
+    """
     k = min(a.order, b.order)
-    coeffs = []
-    for n in range(k + 1):
-        acc = a.coeffs[0] * b.coeffs[n]
-        for i in range(1, n + 1):
-            acc = acc + a.coeffs[i] * b.coeffs[n - i]
-        coeffs.append(acc)
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(tuple(dot(a.coeffs, b.coeffs[n::-1]) for n in range(k + 1)))
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries, order: int | None = None) -> TruncatedSeries:

@@ -10,6 +10,16 @@ The series, Bell-matrix and solver code is written against plain arithmetic
 The affine closed forms do not: they compute in Fractions only, and their
 float-mode callers round each result once.
 
+Their inner products (the Cauchy product's coefficients, the LU's entries,
+the substitutions and the refinement residual) go through one kernel,
+``dot`` and ``dot_sub``. It adds left to right and rounds after every
+multiply and every add, so its value is the operator loop's to the last
+bit. When every operand is an mpf it runs mpmath's ``mpf_mul`` and
+``mpf_sub``/``mpf_add`` on the raw tuples at the context's precision and
+rounding, as ``mpf.__mul__`` and ``mpf.__sub__`` do, and skips their
+per-operation dispatch and wrapping; any other operands (floats,
+Fractions, ints, or a mix) take the operator loop itself.
+
 Every change of scalar type goes through two functions. ``as_fraction``
 gives the exact value of a str ("p/q", decimal or integer literal), int,
 float, Fraction or mpf. ``PrecisionConfig.scalar`` is ``as_fraction``
@@ -31,6 +41,7 @@ from typing import Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import mpf_add, mpf_mul, mpf_sub
 
 from .errors import DomainError, RootOfUnityError
 
@@ -127,6 +138,57 @@ def ratio_to_float(p: int, q: int) -> float:
         return p / q
     except OverflowError:
         raise ValueError("a value is outside the float range of machine precision") from None
+
+
+def dot(xs, ys):
+    """xs[0]*ys[0] + xs[1]*ys[1] + ... over the pairs zip(xs, ys) gives (at least one).
+
+    The value of ``acc = xs[0]*ys[0]`` followed by ``acc = acc + x*y`` for
+    each later pair, to the last bit, in any scalar type: see the module
+    docstring. xs and ys are sequences; the longer one is cut as by zip.
+    """
+    if isinstance(xs[0], mpmath.mpf):
+        prec, rounding = mp._prec_rounding
+        products = _mpf_products(xs, ys, prec, rounding)
+        if products is not None:
+            acc = products[0]
+            for p in products[1:]:
+                acc = mpf_add(acc, p, prec, rounding)
+            return mp.make_mpf(acc)
+    pairs = zip(xs, ys)
+    x, y = next(pairs)
+    acc = x * y
+    for x, y in pairs:
+        acc = acc + x * y
+    return acc
+
+
+def dot_sub(acc, xs, ys):
+    """acc - xs[0]*ys[0] - xs[1]*ys[1] - ... over the pairs zip(xs, ys) gives.
+
+    The value of ``acc = acc - x*y`` for each pair in turn, to the last bit,
+    in any scalar type: see the module docstring. xs and ys are sequences;
+    the longer one is cut as by zip.
+    """
+    if isinstance(acc, mpmath.mpf):
+        prec, rounding = mp._prec_rounding
+        products = _mpf_products(xs, ys, prec, rounding)
+        if products is not None:
+            a = acc._mpf_
+            for p in products:
+                a = mpf_sub(a, p, prec, rounding)
+            return mp.make_mpf(a)
+    for x, y in zip(xs, ys):
+        acc = acc - x * y
+    return acc
+
+
+def _mpf_products(xs, ys, prec, rounding) -> list | None:
+    """Each x*y as mpf.__mul__ rounds it, as raw mpf tuples; None unless every x and y is an mpf."""
+    try:
+        return [mpf_mul(x._mpf_, y._mpf_, prec, rounding) for x, y in zip(xs, ys)]
+    except AttributeError:  # an operand that is not an mpf
+        return None
 
 
 def sign(x) -> int:

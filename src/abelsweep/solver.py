@@ -6,8 +6,11 @@ coefficient trajectory, because the per-coefficient limits over N (when they
 exist) are what defines the method's selected solution. In exact mode one
 Bareiss pass serves every N, and size N is singular when one of the first N
 steps finds no pivot in the first N rows; the float modes still factor each
-leading block. ``abel_residual`` checks any candidate series against the
-Abel equation itself.
+leading block, by a pivoted LU in Crout order whose every entry is one call
+of the inner-product kernel ``scalars.dot_sub`` (see ``_solve_lu``). The
+substitutions and the refinement residual call the kernel too; it rounds as
+the operator loops did, so no output moves by a bit. ``abel_residual``
+checks any candidate series against the Abel equation itself.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import mpmath
 from .carleman import AbelSystem, abel_system, check_truncation_sizes
 from .errors import SingularSystemError
 from .powerseries import TruncatedSeries, pad, series_compose
-from .scalars import PrecisionConfig, Scalar, as_fraction, sign
+from .scalars import PrecisionConfig, Scalar, as_fraction, dot_sub, sign
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +103,18 @@ def _solve_exact(A, rhs, Ns) -> dict:
 
 
 def _solve_lu(A, rhs) -> tuple | None:
-    """LU with partial pivoting and one iterative-refinement step; None if singular."""
+    """LU with partial pivoting and one iterative-refinement step; None if singular.
+
+    The factors are computed in Crout order: at step k, column k of the
+    remaining rows, then the pivot search over it (first maximum of |.|),
+    then row k of U, and last the multipliers of column k. Each entry is one
+    ``dot_sub`` from A's entry over the finished rows of U, which are kept as
+    column lists. Every entry so gets the subtractions, in the order, that
+    right-looking elimination would apply to it one step at a time (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 9), with
+    the same pivots, the same n*eps*max|A| threshold and the same divisions,
+    so the factors are the right-looking ones to the last bit.
+    """
     n = len(rhs)
     lu = [list(row) for row in A]
     perm = list(range(n))
@@ -108,37 +122,35 @@ def _solve_lu(A, rhs) -> tuple | None:
     uses_mpf = any(isinstance(x, mpmath.mpf) for row in A for x in row)
     eps = mpmath.mp.eps if uses_mpf else 2.220446049250313e-16
     tiny = n * eps * scale
+    u_cols = [[] for _ in range(n)]  # u_cols[j]: U[0][j], U[1][j], ... for the rows of U done
 
     for k in range(n):
+        for i in range(k, n):
+            lu[i][k] = dot_sub(lu[i][k], lu[i], u_cols[k])
         piv = max(range(k, n), key=lambda r: abs(lu[r][k]))
         if abs(lu[piv][k]) <= tiny:
             return None
         if piv != k:
             lu[k], lu[piv] = lu[piv], lu[k]
             perm[k], perm[piv] = perm[piv], perm[k]
+        row = lu[k]
+        for j in range(k + 1, n):
+            row[j] = dot_sub(row[j], row, u_cols[j])
+            u_cols[j].append(row[j])
         for i in range(k + 1, n):
-            m = lu[i][k] / lu[k][k]
-            lu[i][k] = m
-            for j in range(k + 1, n):
-                lu[i][j] = lu[i][j] - m * lu[k][j]
+            lu[i][k] = lu[i][k] / row[k]
 
     x = _lu_solve(lu, perm, rhs)
     # one refinement step: residual in working precision, correction reuses the LU
-    r = []
-    for i in range(n):
-        acc = rhs[i]
-        for j in range(n):
-            acc = acc - A[i][j] * x[j]
-        r.append(acc)
+    r = [dot_sub(rhs[i], A[i], x) for i in range(n)]
     d = _lu_solve(lu, perm, r)
     return tuple(x[i] + d[i] for i in range(n))
 
 
 def _lu_solve(lu, perm, b):
-    y = [b[p] for p in perm]
-    for i in range(len(y)):
-        for j in range(i):
-            y[i] = y[i] - lu[i][j] * y[j]
+    y = []
+    for i, p in enumerate(perm):
+        y.append(dot_sub(b[p], lu[i], y))
     return _back_substitute(lu, y)
 
 
@@ -146,9 +158,7 @@ def _back_substitute(U, y):
     """Overwrite y with the solution of U x = y; U is read on and above its diagonal only."""
     n = len(y)
     for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            y[i] = y[i] - U[i][j] * y[j]
-        y[i] = y[i] / U[i][i]
+        y[i] = dot_sub(y[i], U[i][i + 1:n], y[i + 1:]) / U[i][i]
     return y
 
 

@@ -2,7 +2,8 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_golden_corpus.py
+    PYTHONPATH=src python tests/make_golden_corpus.py           # rewrite it
+    PYTHONPATH=src python tests/make_golden_corpus.py --check   # compare only
 
 Each of README's example and acceptance-table commands runs under every
 precision (the command's default, exact, machine and bits:64) and every
@@ -13,6 +14,9 @@ stderr. ``tests/test_golden_corpus.py`` replays
 the corpus; a change that moves bytes regenerates it and lists the moved
 entries in CHANGES.md. The script prints to stderr the argv of every entry
 that moved, appeared or vanished relative to the corpus it overwrites.
+With ``--check`` it recomputes every entry the same way, prints the same
+lines, writes nothing and exits 1 if any entry differs, so a change that
+must move no byte can show that it moves none, ``DROPPED`` entries included.
 
 Entries slower than 0.5 s are listed in ``DROPPED`` with the time one run
 took when the list was made (2-core host, Python 3.11, mpmath's pure-Python
@@ -24,6 +28,7 @@ fast) is reported on stderr.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -32,7 +37,7 @@ import pathlib
 import sys
 import time
 
-from abelsweep.cli import main
+from abelsweep.cli import main as cli_main
 
 CORPUS = pathlib.Path(__file__).with_name("golden_corpus.json")
 SLOW_S = 0.5
@@ -74,6 +79,8 @@ PINNED = (
     "sweep --b 9/10 --s 1 --Ns 1:20 --tol-abs 1e-2 --tol-rel 0 --precision bits:256",
     "explore-exp --N-max 32 --precision exact",
     "sweep --b 3/2 --s 1/3 --Ns 1:32 --precision exact",
+    "explore-exp --N-max 32 --s -3/8",
+    "explore-exp --N-max 36 --s 1/3 --precision machine",
 )
 PRECISIONS = ("", "--precision exact", "--precision machine", "--precision bits:64")
 FORMATS = ("", "--format csv", "--format json")
@@ -99,7 +106,7 @@ def candidates() -> list[str]:
 def run(argv: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv.split())
+        code = cli_main(argv.split())
     return {
         "argv": argv,
         "exit": code,
@@ -108,7 +115,8 @@ def run(argv: str) -> dict:
     }
 
 
-def write_corpus() -> None:
+def regenerate() -> list[dict]:
+    """Every candidate's entry, with a line on stderr for each disagreement with DROPPED."""
     entries = []
     for argv in candidates():
         start = time.perf_counter()
@@ -117,18 +125,42 @@ def write_corpus() -> None:
         if (seconds > SLOW_S) != (argv in DROPPED):
             verb = "remove from" if argv in DROPPED else "add to"
             print(f"{seconds:.2f} s, {verb} DROPPED: {argv!r}", file=sys.stderr)
-    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
-    old, new = {e["argv"]: e for e in old}, {e["argv"]: e for e in entries}
+    return entries
+
+
+def differences(old: list[dict], new: list[dict]) -> list[str]:
+    """One "moved:", "appeared:" or "vanished:" line per argv whose entry differs."""
+    old, new = {e["argv"]: e for e in old}, {e["argv"]: e for e in new}
+    lines = []
     for argv in list(new) + [argv for argv in old if argv not in new]:
         if argv not in old:
-            print(f"appeared: {argv}", file=sys.stderr)
+            lines.append(f"appeared: {argv}")
         elif argv not in new:
-            print(f"vanished: {argv}", file=sys.stderr)
+            lines.append(f"vanished: {argv}")
         elif old[argv] != new[argv]:
-            print(f"moved: {argv}", file=sys.stderr)
+            lines.append(f"moved: {argv}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check tests/golden_corpus.json.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare with the corpus instead of writing it; exit 1 if any entry differs",
+    )
+    args = parser.parse_args(argv)
+    entries = regenerate()
+    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
+    lines = differences(old, entries)
+    for line in lines:
+        print(line, file=sys.stderr)
+    if args.check:
+        print(f"checked {len(entries)} entries against {CORPUS}: {len(lines)} differ", file=sys.stderr)
+        return 1 if lines else 0
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    write_corpus()
+    sys.exit(main())

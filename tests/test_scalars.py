@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelsweep import PrecisionConfig, RootOfUnityError, format_scalar
-from abelsweep.scalars import ROOT_OF_UNITY_TOL, as_fraction, check_not_root_of_unity
+from abelsweep import PrecisionConfig, RootOfUnityError, TruncatedSeries, format_scalar
+from abelsweep.powerseries import series_mul
+from abelsweep.scalars import ROOT_OF_UNITY_TOL, as_fraction, check_not_root_of_unity, dot, dot_sub
+from conftest import small_rationals
 
 
 class TestParseRational:
@@ -193,3 +195,150 @@ class TestMachineRange:
         with pytest.raises(ValueError) as info:
             PrecisionConfig("machine").scalar(x)
         assert len(str(info.value)) < 200 and "\n" not in str(info.value)
+
+
+def plain_dot(xs, ys):
+    acc = xs[0] * ys[0]
+    for i in range(1, min(len(xs), len(ys))):
+        acc = acc + xs[i] * ys[i]
+    return acc
+
+
+def plain_dot_sub(acc, xs, ys):
+    for i in range(min(len(xs), len(ys))):
+        acc = acc - xs[i] * ys[i]
+    return acc
+
+
+def same_bits(a, b):
+    """Equal type and equal value to the last bit: the raw tuple for mpf, the hex form for float."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, mpmath.mpf):
+        return a._mpf_ == b._mpf_
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    return a == b
+
+
+class TestDotKernel:
+    """``dot`` and ``dot_sub`` against the operator loops they replace."""
+
+    # mantissas up to 300 bits, zeros, and exponents far apart
+    mpf_parts = st.one_of(
+        st.just((0, 0)),
+        st.tuples(st.integers(-(2**300), 2**300), st.integers(-400, 400)),
+        st.tuples(st.integers(-1000, 1000), st.integers(-8, 8)),
+    )
+
+    @staticmethod
+    def to_mpf(parts):
+        man, exp = parts
+        return mpmath.mpf(mpmath.libmp.from_man_exp(man, exp))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bits=st.sampled_from([24, 53, 64, 113, 256, 1000]),
+        acc=mpf_parts,
+        pairs=st.lists(st.tuples(mpf_parts, mpf_parts), min_size=1, max_size=12),
+        cancel=st.booleans(),
+    )
+    def test_mpf_at_every_precision(self, bits, acc, pairs, cancel):
+        xs = [self.to_mpf(x) for x, _ in pairs]
+        ys = [self.to_mpf(y) for _, y in pairs]
+        if cancel:  # each product followed by its negative, and acc near their sum
+            xs, ys = xs + [-x for x in xs], ys + ys
+        with mpmath.mp.workprec(bits):
+            a = self.to_mpf(acc)
+            if cancel:
+                a = a + xs[0] * ys[0]
+            assert same_bits(dot(xs, ys), plain_dot(xs, ys))
+            assert same_bits(dot_sub(a, xs, ys), plain_dot_sub(a, xs, ys))
+
+    @pytest.mark.parametrize("rounding", ["n", "f", "c", "d", "u"])
+    def test_mpf_under_every_rounding_mode(self, rounding):
+        xs = [mpmath.mpf(1) / k for k in range(1, 9)]
+        ys = [mpmath.mpf(-3) ** k / 7 for k in range(8)]
+        prec_rounding = mpmath.mp._prec_rounding
+        saved = prec_rounding[1]
+        prec_rounding[1] = rounding
+        try:
+            with mpmath.mp.workprec(80):
+                assert same_bits(dot(xs, ys), plain_dot(xs, ys))
+                assert same_bits(dot_sub(xs[2], xs, ys), plain_dot_sub(xs[2], xs, ys))
+        finally:
+            prec_rounding[1] = saved
+
+    @given(
+        acc=st.floats(-1e300, 1e300),
+        pairs=st.lists(st.tuples(st.floats(-1e200, 1e200), st.floats(-1e200, 1e200)), min_size=1, max_size=10),
+    )
+    def test_floats(self, acc, pairs):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        assert same_bits(dot(xs, ys), plain_dot(xs, ys))
+        assert same_bits(dot_sub(acc, xs, ys), plain_dot_sub(acc, xs, ys))
+
+    exact_values = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=20))
+
+    @given(
+        acc=exact_values,
+        pairs=st.lists(st.tuples(exact_values, exact_values), min_size=1, max_size=10),
+    )
+    def test_fractions_and_ints(self, acc, pairs):
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        assert same_bits(dot(xs, ys), plain_dot(xs, ys))
+        assert same_bits(dot_sub(acc, xs, ys), plain_dot_sub(acc, xs, ys))
+
+    @pytest.mark.parametrize(
+        "x,y,acc",
+        [(mpmath.mpf(3), mpmath.mpf("0.1"), mpmath.mpf(1)), (0.1, 3.0, 1.0), (F(1, 3), 4, F(2, 5)), (2, 5, 7)],
+        ids=["mpf", "float", "fraction", "int"],
+    )
+    def test_single_term(self, x, y, acc):
+        assert same_bits(dot([x], [y]), x * y)
+        assert same_bits(dot_sub(acc, [x], [y]), acc - x * y)
+        assert same_bits(dot_sub(acc, [], []), acc)
+
+    def test_longer_sequence_is_cut_as_by_zip(self):
+        xs = [mpmath.mpf(k) / 3 for k in range(1, 6)]
+        ys = xs[:3]
+        assert same_bits(dot(xs, ys), plain_dot(xs, ys))
+        assert same_bits(dot_sub(xs[4], ys, xs), plain_dot_sub(xs[4], ys, xs))
+
+    @pytest.mark.parametrize("where", ["acc", "xs", "ys", "last"])
+    def test_an_int_among_mpfs_takes_the_operator_loop(self, where):
+        with mpmath.mp.workprec(100):
+            xs = [mpmath.mpf(1) / k for k in range(1, 6)]
+            ys = [mpmath.mpf(2) / k for k in range(2, 7)]
+            acc = mpmath.mpf(1) / 7
+            if where == "acc":
+                acc = 3
+            elif where == "xs":
+                xs[2] = 5
+            elif where == "ys":
+                ys[0] = -2
+            else:
+                xs[-1] = 1
+            assert same_bits(dot_sub(acc, xs, ys), plain_dot_sub(acc, xs, ys))
+            if where != "acc":
+                assert same_bits(dot(xs, ys), plain_dot(xs, ys))
+            mixed = [mpmath.mpf(1) / 3, 0.25, F(1, 2)]
+            assert same_bits(dot(mixed, xs), plain_dot(mixed, xs))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        bits=st.sampled_from([53, 64, 256]),
+        a=st.lists(small_rationals(99, 50), min_size=1, max_size=16),
+        b=st.lists(small_rationals(99, 50), min_size=1, max_size=16),
+    )
+    def test_bigfloat_series_mul_matches_the_plain_product(self, bits, a, b):
+        cfg = PrecisionConfig("bigfloat", bits=bits)
+        fa = TruncatedSeries(tuple(cfg.scalar(q) for q in a))
+        fb = TruncatedSeries(tuple(cfg.scalar(q) for q in b))
+        with cfg.workprec():
+            product = series_mul(fa, fb)
+            plain = [
+                plain_dot(fa.coeffs[: n + 1], fb.coeffs[n::-1])
+                for n in range(min(fa.order, fb.order) + 1)
+            ]
+        assert [c._mpf_ for c in product.coeffs] == [c._mpf_ for c in plain]

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -370,3 +371,124 @@ class TestSweepSolvesLeadingBlocks:
         monkeypatch.setattr(solver, "_solve_exact", counting)
         intuitive_sweep(one_minus_x_plus_x2(EXACT, max(Ns)), Ns, EXACT)
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the right-looking LU that the Crout-order one must reproduce bit for bit:
+# _solve_lu, _lu_solve and _back_substitute as they were before the inner
+# products went through scalars.dot_sub, kept verbatim as the reference
+
+
+def reference_solve_lu(A, rhs) -> tuple | None:
+    """LU with partial pivoting and one iterative-refinement step; None if singular."""
+    n = len(rhs)
+    lu = [list(row) for row in A]
+    perm = list(range(n))
+    scale = max((abs(x) for row in A for x in row), default=0)
+    uses_mpf = any(isinstance(x, mpmath.mpf) for row in A for x in row)
+    eps = mpmath.mp.eps if uses_mpf else 2.220446049250313e-16
+    tiny = n * eps * scale
+
+    for k in range(n):
+        piv = max(range(k, n), key=lambda r: abs(lu[r][k]))
+        if abs(lu[piv][k]) <= tiny:
+            return None
+        if piv != k:
+            lu[k], lu[piv] = lu[piv], lu[k]
+            perm[k], perm[piv] = perm[piv], perm[k]
+        for i in range(k + 1, n):
+            m = lu[i][k] / lu[k][k]
+            lu[i][k] = m
+            for j in range(k + 1, n):
+                lu[i][j] = lu[i][j] - m * lu[k][j]
+
+    x = reference_lu_solve(lu, perm, rhs)
+    # one refinement step: residual in working precision, correction reuses the LU
+    r = []
+    for i in range(n):
+        acc = rhs[i]
+        for j in range(n):
+            acc = acc - A[i][j] * x[j]
+        r.append(acc)
+    d = reference_lu_solve(lu, perm, r)
+    return tuple(x[i] + d[i] for i in range(n))
+
+
+def reference_lu_solve(lu, perm, b):
+    y = [b[p] for p in perm]
+    for i in range(len(y)):
+        for j in range(i):
+            y[i] = y[i] - lu[i][j] * y[j]
+    return reference_back_substitute(lu, y)
+
+
+def reference_back_substitute(U, y):
+    """Overwrite y with the solution of U x = y; U is read on and above its diagonal only."""
+    n = len(y)
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            y[i] = y[i] - U[i][j] * y[j]
+        y[i] = y[i] / U[i][i]
+    return y
+
+
+def bits_of(solution):
+    """A solution's exact bits: raw mpf tuples, float hex forms, or None."""
+    if solution is None:
+        return None
+    return tuple(v._mpf_ if isinstance(v, mpmath.mpf) else (type(v), v.hex()) for v in solution)
+
+
+BITS64 = PrecisionConfig("bigfloat", bits=64)
+
+
+class TestCroutLUMatchesRightLooking:
+    """``_solve_lu`` (Crout order, one ``dot_sub`` per entry) against the right-looking reference."""
+
+    @staticmethod
+    def same_solve(A, rhs, cfg):
+        with cfg.workprec():
+            got, want = solver._solve_lu(A, rhs), reference_solve_lu(A, rhs)
+        assert bits_of(got) == bits_of(want)
+        return got
+
+    entry = st.one_of(
+        st.just(0), st.just(0), small_rationals(9, 7), st.integers(-(10**6), 10**6).map(lambda k: F(k, 1000))
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cfg=st.sampled_from([MACHINE, BITS64, BITS256]),
+        n=st.integers(1, 7),
+        kind=st.sampled_from(["dense", "zero-heavy", "rank-deficient"]),
+        data=st.data(),
+    )
+    def test_random_systems(self, cfg, n, kind, data):
+        entry = st.just(0) | self.entry if kind == "zero-heavy" else self.entry
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        if kind == "rank-deficient":  # a repeated row or a zero column
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            if i != j:
+                rows[i] = list(rows[j])
+            else:
+                rows = [row[:j] + [0] + row[j + 1:] for row in rows]
+        rhs = data.draw(st.lists(self.entry, min_size=n, max_size=n))
+        with cfg.workprec():
+            A = [[cfg.scalar(v) for v in row] for row in rows]
+            b = [cfg.scalar(v) for v in rhs]
+        x = self.same_solve(A, b, cfg)
+        if kind == "rank-deficient":
+            # exactly singular: the repeated row or the zero column leaves an exact 0 pivot
+            assert x is None
+
+    @pytest.mark.parametrize("cfg", [MACHINE, BITS64, BITS256], ids=["machine", "bits:64", "bits:256"])
+    @pytest.mark.parametrize("s", [F(0), F(1, 2), F(-3, 8)], ids=["0", "1/2", "-3/8"])
+    def test_exp_blocks_to_40(self, cfg, s):
+        with cfg.workprec():
+            system = abel_system(exp_shift_series(s, 39, cfg), 40)
+        sizes = (*range(1, 13), 16, 20, 24, 28, 32, 36, 40)
+        solved = [
+            N for N in sizes
+            if self.same_solve([row[:N] for row in system.A[:N]], system.rhs[:N], cfg) is not None
+        ]
+        assert solved[:12] == list(range(1, 13))
