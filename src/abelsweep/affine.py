@@ -294,11 +294,14 @@ def remainder_bound(j: int, n: int, b) -> Fraction:
 
 
 def binom_tail(kappa, J: int) -> tuple:
-    """Partial sum of sum_{j>=1} |C(kappa, j+1)| plus a tail estimate.
+    """Partial sum of sum_{j>=1} |C(kappa, j+1)| up to J, and a bound on the rest.
 
-    The terms follow the ratio recurrence C(k, j+1) = C(k, j)*(k-j)/(j+1);
-    the tail estimate integrates the per-term bound
-    e**(kappa**2 + kappa) / k**(1+kappa) past the cutoff.
+    The terms follow the ratio recurrence C(k, j+1) = C(k, j)*(k-j)/(j+1).
+    The second value is an upper bound on the tail, not an estimate of it:
+    it integrates the per-term bound e**(kappa**2 + kappa) / k**(1+kappa)
+    past the cutoff, and exceeds the true tail (1 - kappa) - partial (for
+    0 < kappa < 1) several times over. The tail itself behaves like
+    J**(-kappa) / (kappa*|Gamma(-kappa)|).
     """
     kappa = float(kappa)
     if kappa <= 0:

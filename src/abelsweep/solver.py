@@ -16,6 +16,7 @@ checks any candidate series against the Abel equation itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -120,7 +121,7 @@ def _solve_lu(A, rhs) -> tuple | None:
     perm = list(range(n))
     scale = max((abs(x) for row in A for x in row), default=0)
     uses_mpf = any(isinstance(x, mpmath.mpf) for row in A for x in row)
-    eps = mpmath.mp.eps if uses_mpf else 2.220446049250313e-16
+    eps = mpmath.mp.eps if uses_mpf else sys.float_info.epsilon
     tiny = n * eps * scale
     u_cols = [[] for _ in range(n)]  # u_cols[j]: U[0][j], U[1][j], ... for the rows of U done
 

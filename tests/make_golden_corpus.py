@@ -2,28 +2,17 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/make_golden_corpus.py           # rewrite it
-    PYTHONPATH=src python tests/make_golden_corpus.py --check   # compare only
+    PYTHONPATH=src python tests/make_golden_corpus.py
 
 Each of README's example and acceptance-table commands runs under every
 precision (the command's default, exact, machine and bits:64) and every
 format (the command's default, csv and json), and each ``PINNED`` command
 runs once as given, all in this process through ``abelsweep.cli.main``.
 An entry records the argv, the exit code and the SHA-256 of stdout and of
-stderr. ``tests/test_golden_corpus.py`` replays
-the corpus; a change that moves bytes regenerates it and lists the moved
-entries in CHANGES.md. The script prints to stderr the argv of every entry
-that moved, appeared or vanished relative to the corpus it overwrites.
-With ``--check`` it recomputes every entry the same way, prints the same
-lines, writes nothing and exits 1 if any entry differs, so a change that
-must move no byte can show that it moves none, ``DROPPED`` entries included.
-
-Entries slower than 0.5 s are listed in ``DROPPED`` with the time one run
-took when the list was made (2-core host, Python 3.11, mpmath's pure-Python
-backend). The corpus records them too, but the replay skips them so that it
-stays a few seconds long: regenerating the corpus is their byte check. An
-entry whose time disagrees with the list (slow and unlisted, or listed and
-fast) is reported on stderr.
+stderr. ``tests/test_golden_corpus.py`` replays every entry; a change that
+moves bytes regenerates the corpus and lists the moved entries in
+CHANGES.md. The script prints to stderr the argv of every entry that moved,
+appeared or vanished relative to the corpus it overwrites.
 """
 
 from __future__ import annotations
@@ -35,12 +24,10 @@ import io
 import json
 import pathlib
 import sys
-import time
 
 from abelsweep.cli import main as cli_main
 
 CORPUS = pathlib.Path(__file__).with_name("golden_corpus.json")
-SLOW_S = 0.5
 
 #: README's example and acceptance-table commands, without their --precision
 COMMANDS = (
@@ -85,13 +72,6 @@ PINNED = (
 PRECISIONS = ("", "--precision exact", "--precision machine", "--precision bits:64")
 FORMATS = ("", "--format csv", "--format json")
 
-#: entries over SLOW_S, with the seconds one run took; the replay skips them
-DROPPED: dict[str, float] = {
-    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact": 0.79,
-    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format csv": 0.79,
-    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9 --precision exact --format json": 0.80,
-}
-
 
 def candidates() -> list[str]:
     crossed = [
@@ -115,19 +95,6 @@ def run(argv: str) -> dict:
     }
 
 
-def regenerate() -> list[dict]:
-    """Every candidate's entry, with a line on stderr for each disagreement with DROPPED."""
-    entries = []
-    for argv in candidates():
-        start = time.perf_counter()
-        entries.append(run(argv))
-        seconds = time.perf_counter() - start
-        if (seconds > SLOW_S) != (argv in DROPPED):
-            verb = "remove from" if argv in DROPPED else "add to"
-            print(f"{seconds:.2f} s, {verb} DROPPED: {argv!r}", file=sys.stderr)
-    return entries
-
-
 def differences(old: list[dict], new: list[dict]) -> list[str]:
     """One "moved:", "appeared:" or "vanished:" line per argv whose entry differs."""
     old, new = {e["argv"]: e for e in old}, {e["argv"]: e for e in new}
@@ -143,20 +110,12 @@ def differences(old: list[dict], new: list[dict]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate or check tests/golden_corpus.json.")
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare with the corpus instead of writing it; exit 1 if any entry differs",
-    )
-    args = parser.parse_args(argv)
-    entries = regenerate()
+    argparse.ArgumentParser(description="Regenerate tests/golden_corpus.json.").parse_args(argv)
+    entries = [run(command) for command in candidates()]
     old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
     lines = differences(old, entries)
     for line in lines:
         print(line, file=sys.stderr)
-    if args.check:
-        print(f"checked {len(entries)} entries against {CORPUS}: {len(lines)} differ", file=sys.stderr)
-        return 1 if lines else 0
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
     return 0

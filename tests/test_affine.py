@@ -380,10 +380,15 @@ class TestBinomTail:
     @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
     def test_partial_sums_increase_toward_limit(self, x):
         p3, _ = binom_tail(x, 10**3)
-        p4, t4 = binom_tail(x, 10**4)
+        p4, _ = binom_tail(x, 10**4)
         assert p3 < p4 < 1 - x
-        # the tail estimate brackets the rest of the series
-        assert (1 - x) - p4 <= t4
+
+    @pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("J", [1, 10, 100, 10**4])
+    def test_tail_bounds_the_rest_from_above(self, x, J):
+        # sum_{j>=1} |C(x, j+1)| = 1 - x for 0 < x < 1
+        partial, tail = binom_tail(x, J)
+        assert tail >= (1 - x) - partial > 0
 
 
 class TestInvarianceGap:

@@ -1,0 +1,81 @@
+"""Every number that README and the affine docstrings state, recomputed to the digits stated.
+
+Each test names the text as it is written (say ``"1.43e-5"``), checks that
+each document quoting it still contains it, and recomputes it: rounded to as
+many significant digits as the text gives, the value must read the same.
+"""
+
+import math
+import pathlib
+from fractions import Fraction as F
+
+import mpmath
+import pytest
+
+from abelsweep import affine
+from abelsweep.affine import (
+    AffineParams,
+    LogApproxPoly,
+    beta_direct,
+    binom_tail,
+    eval_log_poly,
+    log_poly,
+    reference_log,
+)
+from abelsweep.scalars import PrecisionConfig
+
+DOCS = {
+    "README": (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+    "affine": affine.__doc__,
+    "LogApproxPoly": LogApproxPoly.__doc__,
+}
+
+
+def assert_stated(value, text, docs):
+    """value rounds to text (as in "1.43e-5"), and every document in docs states text."""
+    digits = len(text.split("e")[0].replace(".", ""))
+    mantissa, exponent = f"{value:.{digits - 1}e}".split("e")
+    assert f"{mantissa}e{int(exponent)}" == text
+    for name in docs:
+        assert text in DOCS[name], f"{name} no longer states {text}"
+
+
+@pytest.mark.parametrize("b, text", [(2, "1.43e-5"), (3, "1.37e-3")])
+def test_beta_one_oscillation_amplitude(b, text):
+    # 2|Gamma(1 + 2 pi i/ln b)|/ln b, the limiting amplitude at s=1
+    with mpmath.workprec(53):
+        log_b = mpmath.log(b)
+        amplitude = 2 * abs(mpmath.gamma(1 + 2j * mpmath.pi / log_b)) / log_b
+    assert_stated(float(amplitude), text, ("README", "affine"))
+
+
+@pytest.mark.parametrize("b, N, text", [(2, 115, "2.03e-5"), (3, 112, "1.58e-3")])
+def test_beta_one_peak_above_the_amplitude(b, N, text):
+    # |beta^(N)_1 - 1/ln b| at s=1 has a local maximum at N, in 100 <= N <= 800
+    p = AffineParams(F(b), F(1))
+    dev = {n: abs(float(beta_direct(p, n, 1)) - 1 / math.log(b)) for n in (N - 1, N, N + 1)}
+    assert dev[N] > dev[N - 1] and dev[N] > dev[N + 1]
+    assert_stated(dev[N], text, ("README", "affine"))
+
+
+@pytest.mark.parametrize("b, text", [(F(1, 2), "3e-6"), (F(1, 3), "5e-4")])
+def test_log_poly_error_does_not_decay(b, text):
+    # max |P_n - log_b| over 41 points of [b, 1] at 128 bits, for n = 400 and 1000
+    cfg = PrecisionConfig("bigfloat", bits=128)
+    xs = [b + (1 - b) * F(i, 40) for i in range(41)]
+    errors = []
+    for n in (400, 1000):
+        P = log_poly(b, n)
+        with mpmath.workprec(128):
+            errors.append(max(abs(eval_log_poly(P, x, cfg) - reference_log(b, x, 128)) for x in xs))
+    assert_stated(float(max(errors)), text, ("README", "affine", "LogApproxPoly"))
+
+
+@pytest.mark.parametrize("kappa", [0.25, 0.5, 0.75])
+def test_binom_tail_asymptotic(kappa):
+    # binom_tail's docstring: the true tail behaves like J**(-kappa)/(kappa*|Gamma(-kappa)|)
+    assert "J**(-kappa) / (kappa*|Gamma(-kappa)|)" in " ".join(binom_tail.__doc__.split())
+    J = 10**4
+    partial, _ = binom_tail(kappa, J)
+    asymptotic = J**-kappa / (kappa * abs(math.gamma(-kappa)))
+    assert asymptotic / ((1 - kappa) - partial) == pytest.approx(1, abs=1e-3)
