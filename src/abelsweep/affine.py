@@ -3,8 +3,11 @@
 For this family the truncated Abel systems admit closed-form solutions: a
 recurrence obtained by triangularizing the system, and a direct alternating
 binomial sum. Summing the solution polynomial against powers of x/s yields an
-s-free polynomial sequence P_n that approximates log_b but does not converge
-to it: P_n(x) - log_b(x) has a part log-periodic in n that does not decay,
+s-free polynomial sequence P_n that approximates log_b, and the solution is
+P_n re-centred: beta^(n)(y) = P_n(1 + y/s). So beta^(n)_m =
+s**-m sum_{k=m..n} C(k,m) c_k, where c_k = (-1)**k C(n,k) / (1 - b**k) are
+P_n's coefficients, and that is the direct sum. P_n does not converge to
+log_b: P_n(x) - log_b(x) has a part log-periodic in n that does not decay,
 about 3e-6 at most on [b, 1] for b=1/2 and 5e-4 for b=1/3. Nor does
 beta^(N)_1 settle at 1/(s ln b): it oscillates in log_b N with an amplitude
 tending to 2|Gamma(1 + 2 pi i/ln b)|/(|s| ln b) (at s=1, 1.43e-5 for b=2 and
@@ -110,20 +113,25 @@ def beta_recurrence(p: AffineParams, n: int, m: int) -> Fraction:
 
 
 def beta_direct(p: AffineParams, n: int, m: int) -> Fraction:
-    """beta^(n)_m by the direct alternating sum over binomial products; a Fraction."""
+    """beta^(n)_m read off the coefficients c_k of P_n; a Fraction.
+
+    The solution polynomial is P_n re-centred, beta^(n)(y) = P_n(1 + y/s),
+    so beta^(n)_m = s**-m sum_{k=m..n} C(k,m) c_k with ``log_poly(b, n)``'s
+    c_k = (-1)**k C(n,k) / (1 - b**k): the paper's direct alternating sum
+    sum_k C(n,k) C(k,m) (-1)**k / (1 - b**k) / s**m. ``log_poly`` refuses a
+    b with b**k == 1 for some k <= n.
+    """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    p.ensure_order(n)
-    b = as_fraction(p.b)
-    acc = 0
-    for k in range(m, n + 1):
-        term = math.comb(n, k) * math.comb(k, m)
-        acc = acc + (term if k % 2 == 0 else -term) / (1 - b**k)
-    return acc / as_fraction(p.s) ** m
+    c = log_poly(p.b, n).coeffs
+    return sum(math.comb(k, m) * c[k - 1] for k in range(m, n + 1)) / as_fraction(p.s) ** m
 
 
 def beta_polynomial(p: AffineParams, n: int) -> TruncatedSeries:
-    """The degree-n solution polynomial beta^(n) as a truncated series at 0, in Fractions."""
+    """The degree-n solution polynomial beta^(n)(y) = P_n(1 + y/s) at 0, in Fractions.
+
+    Its constant term is P_n(1) = 0; the others are ``beta_direct``'s.
+    """
     coeffs = (Fraction(0),) + tuple(beta_direct(p, n, m) for m in range(1, n + 1))
     return TruncatedSeries(coeffs)
 

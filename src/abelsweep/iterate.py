@@ -98,9 +98,11 @@ def poly_abel_context(
 ) -> IterationContext:
     """Context for g(x) = b*(x+s) - s using the degree-n Abel polynomial.
 
-    The evaluator is P_n(z/s + 1) - P_n(0): ``log_poly``'s coefficients
-    with anchor 0, which leaves the iterated function unchanged and spares
-    each evaluation P_n's constant and its extra bit. Its point z/s + 1 is
+    The evaluator is P_n(z/s + 1) - P_n(0), which is
+    beta^(n)(z) - beta^(n)(-s) for the solution polynomial
+    beta^(n)(y) = P_n(1 + y/s): ``log_poly``'s coefficients with anchor 0,
+    which leaves the iterated function unchanged and spares each evaluation
+    P_n's constant and its extra bit. Its point z/s + 1 is
     computed exactly, from the exact values of z and s, and evaluated by
     eval_log_poly's fixed-point Horner: its error stays below
     2**(1 - bits - guard_bits) at every degree, and the working precision

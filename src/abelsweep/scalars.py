@@ -244,17 +244,16 @@ def format_scalar(x, dps: int | None = None) -> str:
     """Lossless, deterministic text for report files.
 
     Fractions render as "p/q" (plain integer when q == 1), floats with
-    shortest round-trip repr, mpf with ``dps`` significant digits. Integers
-    print in full, also past Python's limit on int-to-str conversion.
+    shortest round-trip repr, and mpf (every other scalar a mode produces)
+    with ``dps`` significant digits. Integers print in full, also past
+    Python's limit on int-to-str conversion.
     """
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return _int_text(x.numerator)
         return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
-    if isinstance(x, (int, bool)):
+    if isinstance(x, int):
         return _int_text(x)
     if isinstance(x, float):
         return repr(x)
-    if isinstance(x, mpmath.mpf):
-        return mpmath.nstr(x, dps or mp.dps, strip_zeros=True)
-    return str(x)
+    return mpmath.nstr(x, dps or mp.dps, strip_zeros=True)

@@ -74,6 +74,13 @@ def _solve_exact(A, rhs, Ns) -> dict:
     steps eliminate the leading N x N block as a pass on that block alone
     would. A pivot found in row r > k makes the blocks of sizes k+1..r
     singular, and a column without one makes every size past k singular.
+
+    For a size N that is not singular, det_N = M[N-1][N-1] is the
+    determinant of its pivoted leading block, so det_N * x is integral
+    (Cramer's rule). The shared back-substitution runs on det_N times the
+    eliminated right-hand side c (column n of M), where every quotient is
+    an integer-valued Fraction, and one division by det_N per entry gives
+    x: the same Fractions as substituting c itself, at smaller cost.
     """
     n = len(rhs)
     M = []
@@ -98,9 +105,12 @@ def _solve_exact(A, rhs, Ns) -> dict:
             M[i][k] = 0
         prev = M[k][k]
 
-    # a Fraction right-hand side keeps every quotient exact
-    y = [Fraction(M[i][n]) for i in range(n)]
-    return {N: None if N in singular else tuple(_back_substitute(M, y[:N])) for N in Ns}
+    def solve(N):
+        det = M[N - 1][N - 1]
+        y = _back_substitute(M, [Fraction(det * M[i][n]) for i in range(N)])
+        return tuple(v / det for v in y)
+
+    return {N: None if N in singular else solve(N) for N in Ns}
 
 
 def _solve_lu(A, rhs) -> tuple | None:

@@ -12,10 +12,12 @@ from abelsweep import (
     LogApproxPoly,
     PrecisionConfig,
     RootOfUnityError,
+    TruncatedSeries,
     ZeroShiftError,
     abel_system,
     affine_series,
     beta_direct,
+    beta_polynomial,
     beta_recurrence,
     binom_tail,
     eval_log_poly,
@@ -25,6 +27,7 @@ from abelsweep import (
     remainder,
     remainder_bound,
     s_invariance_gap,
+    series_compose,
     solve_truncated,
 )
 from abelsweep.scalars import as_fraction
@@ -95,6 +98,22 @@ class TestBetaValues:
         for n in range(1, 25):
             for m in range(1, n + 1):
                 assert beta_direct(p, n, m) == beta_recurrence(p, n, m)
+
+    @pytest.mark.parametrize("b", (F(2), F(1, 3), F(-2), F(3, 2), F(-1, 3)))
+    @pytest.mark.parametrize("s", (F(1), F(-1), F(1, 3), F(5, 2)))
+    def test_solution_is_p_n_recentred(self, b, s):
+        # beta^(n)(y) = P_n(1 + y/s), with P_n's constant c_0 = -sum_k c_k, and
+        # its coefficients are the paper's sum_k C(n,k) C(k,m) (-1)**k / (1 - b**k) / s**m
+        p = AffineParams(b, s)
+        for n in range(1, 13):
+            c = log_poly(b, n).coeffs
+            P = TruncatedSeries((-sum(c),) + c)
+            assert beta_polynomial(p, n) == series_compose(P, TruncatedSeries((F(1), 1 / s)), order=n)
+            for m in range(1, n + 1):
+                paper = sum(
+                    math.comb(n, k) * math.comb(k, m) * F(-1) ** k / (1 - b**k) for k in range(m, n + 1)
+                )
+                assert beta_direct(p, n, m) == paper / s**m
 
     @pytest.mark.parametrize("b", BASES)
     @pytest.mark.parametrize("s", SHIFTS)

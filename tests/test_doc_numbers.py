@@ -3,8 +3,11 @@
 Each test names the text as it is written (say ``"1.43e-5"``), checks that
 each document quoting it still contains it, and recomputes it: rounded to as
 many significant digits as the text gives, the value must read the same.
+A value README quotes from a CLI example is checked as the CLI prints it.
 """
 
+import contextlib
+import io
 import math
 import pathlib
 from fractions import Fraction as F
@@ -22,6 +25,7 @@ from abelsweep.affine import (
     log_poly,
     reference_log,
 )
+from abelsweep.cli import main
 from abelsweep.scalars import PrecisionConfig
 
 DOCS = {
@@ -79,3 +83,22 @@ def test_binom_tail_asymptotic(kappa):
     partial, _ = binom_tail(kappa, J)
     asymptotic = J**-kappa / (kappa * abs(math.gamma(-kappa)))
     assert asymptotic / ((1 - kappa) - partial) == pytest.approx(1, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        ("iterate --b 2 --s 1 --t 1/2 --z 1", "1.414213562345499"),
+        ("iterate --b 2 --s 3 --t 1/2 --z 1", "1.414213562345499"),
+        ("iterate --b 1/2 --s 1 --t 1 --z 0.3", "0.1499999999975407"),
+        ("iterate --b 1/2 --s 1 --n 200 --bracket -0.95:0.95 --t 1 --z 0.3", "-0.34999999999999276"),
+    ],
+)
+def test_iterate_examples_print_what_readme_states(argv, text):
+    # README's paragraph on the two iterate examples quotes each printed value
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == 0
+    header, row = out.getvalue().splitlines()
+    assert header == "t,z,value" and row.split(",")[2] == text
+    assert text in DOCS["README"], f"README no longer states {text}"

@@ -5,6 +5,8 @@ bytes regenerates it and lists the moved entries in CHANGES.md.
 """
 
 import json
+import pathlib
+import re
 
 import make_golden_corpus
 import pytest
@@ -20,6 +22,22 @@ def test_entry_replays_byte_identical(entry):
 
 def test_corpus_lists_every_candidate_in_order():
     assert [e["argv"] for e in ENTRIES] == candidates()
+
+
+def readme_commands() -> list[str]:
+    """The argv of every command in README's example block and acceptance table."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```\n(abelsweep .*?)^```$", readme, re.M | re.S).group(1)
+    commands = [line.split("#")[0] for line in block.splitlines()]
+    table = readme.split("## Reproducing the acceptance tables", 1)[1]
+    commands += re.findall(r"`(abelsweep [^`]*)`", table)
+    return [" ".join(command.split()[1:]) for command in commands]
+
+
+def test_readme_commands_are_candidates():
+    commands = readme_commands()
+    assert len(commands) == 19
+    assert [c for c in commands if c not in candidates()] == []
 
 
 def test_regeneration_reports_every_difference_and_writes_the_corpus(tmp_path, monkeypatch, capsys):
