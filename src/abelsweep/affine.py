@@ -123,17 +123,22 @@ def beta_direct(p: AffineParams, n: int, m: int) -> Fraction:
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    c = log_poly(p.b, n).coeffs
-    return sum(math.comb(k, m) * c[k - 1] for k in range(m, n + 1)) / as_fraction(p.s) ** m
+    return _recentred(log_poly(p.b, n).coeffs, as_fraction(p.s), m)
 
 
 def beta_polynomial(p: AffineParams, n: int) -> TruncatedSeries:
     """The degree-n solution polynomial beta^(n)(y) = P_n(1 + y/s) at 0, in Fractions.
 
-    Its constant term is P_n(1) = 0; the others are ``beta_direct``'s.
+    Its constant term is P_n(1) = 0; the others are ``beta_direct``'s, read
+    off one ``log_poly(b, n)``.
     """
-    coeffs = (Fraction(0),) + tuple(beta_direct(p, n, m) for m in range(1, n + 1))
-    return TruncatedSeries(coeffs)
+    c, s = log_poly(p.b, n).coeffs, as_fraction(p.s)
+    return TruncatedSeries((Fraction(0),) + tuple(_recentred(c, s, m) for m in range(1, n + 1)))
+
+
+def _recentred(c: tuple, s: Fraction, m: int) -> Fraction:
+    """s**-m sum_{k=m..n} C(k,m) c_k, the m-th coefficient of P_n(1 + y/s), for c = (c_1..c_n)."""
+    return sum(math.comb(k, m) * c[k - 1] for k in range(m, len(c) + 1)) / s**m
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import mpmath
 from .affine import (
     AffineParams,
     affine_series,
-    beta_direct,
+    beta_polynomial,
     beta_recurrence,
     eval_log_poly,
     log_poly,
@@ -268,9 +268,10 @@ def _cmd_affine(args) -> str:
     for method in methods:
         if method == "system":
             vec = solve_truncated(abel_system(_affine_input(args, cfg, args.n), args.n))
+        elif method == "direct":
+            vec = [cfg.scalar(c) for c in beta_polynomial(p, args.n).coeffs[1:]]
         else:
-            beta = beta_recurrence if method == "recurrence" else beta_direct
-            vec = [cfg.scalar(beta(p, args.n, m)) for m in range(1, args.n + 1)]
+            vec = [cfg.scalar(beta_recurrence(p, args.n, m)) for m in range(1, args.n + 1)]
         columns[method] = [format_scalar(v, cfg.dps) for v in vec]
     if args.format == "json":
         return _json({"n": args.n, "coefficients": columns})

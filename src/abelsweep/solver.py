@@ -33,7 +33,7 @@ from .scalars import PrecisionConfig, Scalar, as_fraction, dot_sub, sign
 # direct solves
 
 
-def solve_truncated(sys: AbelSystem) -> tuple:
+def solve_truncated(system: AbelSystem) -> tuple:
     """Solve A x = u; component k of the result is alpha^(N)_{k+1}, N = len(u).
 
     Rational entries go through Bareiss elimination over integers (exact);
@@ -44,26 +44,26 @@ def solve_truncated(sys: AbelSystem) -> tuple:
     Raises SingularSystemError (carrying N) for singular or numerically
     rank-deficient matrices.
     """
-    N = len(sys.rhs)
-    x = _solve_blocks(sys, (N,))[N]
+    N = len(system.rhs)
+    x = _solve_blocks(system, (N,))[N]
     if x is None:
         raise SingularSystemError(N)
     return x
 
 
-def _solve_blocks(sys: AbelSystem, Ns) -> dict:
-    """Solve each leading N x N block of sys with the first N entries of rhs.
+def _solve_blocks(system: AbelSystem, Ns) -> dict:
+    """Solve each leading N x N block of system with the first N entries of rhs.
 
     Maps every N in Ns to its solution, or to None where the block is
     singular. Exact systems take one Bareiss pass over the whole system;
     float and mpf systems factor each block on its own.
     """
     exact = all(
-        isinstance(x, (int, Fraction)) for row in sys.A for x in row
-    ) and all(isinstance(x, (int, Fraction)) for x in sys.rhs)
+        isinstance(x, (int, Fraction)) for row in system.A for x in row
+    ) and all(isinstance(x, (int, Fraction)) for x in system.rhs)
     if exact:
-        return _solve_exact(sys.A, sys.rhs, Ns)
-    return {N: _solve_lu([row[:N] for row in sys.A[:N]], sys.rhs[:N]) for N in Ns}
+        return _solve_exact(system.A, system.rhs, Ns)
+    return {N: _solve_lu([row[:N] for row in system.A[:N]], system.rhs[:N]) for N in Ns}
 
 
 def _solve_exact(A, rhs, Ns) -> dict:

@@ -4,15 +4,18 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/make_golden_corpus.py
 
-Each of README's example and acceptance-table commands runs under every
-precision (the command's default, exact, machine and bits:64) and every
-format (the command's default, csv and json), and each ``PINNED`` command
-runs once as given, all in this process through ``abelsweep.cli.main``.
-An entry records the argv, the exit code and the SHA-256 of stdout and of
-stderr. ``tests/test_golden_corpus.py`` replays every entry; a change that
-moves bytes regenerates the corpus and lists the moved entries in
-CHANGES.md. The script prints to stderr the argv of every entry that moved,
-appeared or vanished relative to the corpus it overwrites.
+README is the one list of the commands the corpus crosses: every line of
+its example block and every command in its acceptance table, without its
+``--precision`` and ``--format``, runs under every precision (the command's
+default, exact, machine and bits:64) and every format (the command's
+default, csv and json); then each ``PINNED`` command runs once as given. A
+command met twice runs once, at its first place. Every run is in this
+process, through ``abelsweep.cli.main``. An entry records the argv, the
+exit code and the SHA-256 of stdout and of stderr.
+``tests/test_golden_corpus.py`` replays every entry; a change that moves
+bytes regenerates the corpus and lists the moved entries in CHANGES.md.
+The script prints to stderr the argv of every entry that moved, appeared
+or vanished relative to the corpus it overwrites.
 """
 
 from __future__ import annotations
@@ -23,42 +26,19 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 import sys
 
 from abelsweep.cli import main as cli_main
 
 CORPUS = pathlib.Path(__file__).with_name("golden_corpus.json")
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
-#: README's example and acceptance-table commands, without their --precision
-COMMANDS = (
-    "matrix --b 2 --s 1 --N 4",
-    "matrix --b 2 --s 1 --N 3 --system",
-    "solve --b 2 --s 1 --N 8",
-    "sweep --b 2 --s 1 --Ns 1:32",
-    "affine --b 2 --s 1 --n 2 --method all",
-    "affine --b 2 --s 1 --n 16 --method all",
-    "logapprox --b 1/2 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9",
-    "logapprox --b 1/3 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9",
-    "logapprox --b 0.9 --n 100,400 --xs 0.1,0.25,0.5,0.75,0.9",
-    "logapprox --b 1/2 --n 20 --xs 1/2,1/4,1/8,1/16,1/32",
-    "invariance --b 1/2 --s1 1 --s2 2 --n 200 --xs 0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-    "invariance --b 1/2 --s1 1 --s2 2 --n 200"
-    " --xs 0.2,0.27,0.35,0.43,0.51,0.59,0.66,0.74,0.82,0.9",
-    "iterate --b 2 --s 1 --t 1/2 --z 1",
-    "iterate --b 1/2 --s 1 --n 200 --bracket -0.95:0.95 --t 1 --z 0.3",
-    "solve --b 1 --s 1 --N 3",
-    "solve --b 2 --s 0 --N 3",
-    "explore-exp --N-max 24",
-    "explore-bgt1 --b 2 --n 200",
-)
 #: commands run once as given: exact-mode outputs whose bytes no change may
 #: move, and bigfloat sweeps with stabilized verdicts (limit and last_delta)
 PINNED = (
-    "matrix --b 2 --s 1 --N 4 --precision exact",
     "sweep --b 2 --s 1 --Ns 1:16 --precision exact",
-    "affine --b 2 --s 1 --n 16 --method all",
     "affine --b 1/3 --s -1 --n 24 --method all --precision exact",
-    "logapprox --b 1/2 --n 20 --xs 1/2,1/4,1/8,1/16,1/32 --precision exact",
     "explore-exp --N-max 12 --precision exact",
     "affine --b 1/3 --s 1 --n 60 --method recurrence --precision exact",
     "explore-exp --N-max 12 --s 1/3",
@@ -73,14 +53,30 @@ PRECISIONS = ("", "--precision exact", "--precision machine", "--precision bits:
 FORMATS = ("", "--format csv", "--format json")
 
 
+def readme_commands() -> list[str]:
+    """The argv of every command in README's example block and acceptance table, in order.
+
+    A command keeps its other options but loses ``--precision`` and
+    ``--format`` with their values.
+    """
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^```\n(abelsweep .*?)^```$", text, re.M | re.S)
+    _, heading, table = text.partition("## Reproducing the acceptance tables")
+    if block is None or not heading:
+        sys.exit(f"error: {README} has no abelsweep example block or no acceptance table")
+    commands = re.findall(r"^abelsweep ([^#\n]*)", block.group(1), re.M)
+    commands += re.findall(r"`abelsweep ([^`]*)`", table)
+    return [" ".join(re.sub(r"--(precision|format) \S+", "", c).split()) for c in commands]
+
+
 def candidates() -> list[str]:
     crossed = [
         " ".join(part for part in (command, precision, fmt) if part)
-        for command in COMMANDS
+        for command in readme_commands()
         for precision in PRECISIONS
         for fmt in FORMATS
     ]
-    return crossed + [argv for argv in PINNED if argv not in crossed]
+    return list(dict.fromkeys(crossed + list(PINNED)))
 
 
 def run(argv: str) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abelsweep.affine
 from abelsweep import (
     AffineParams,
     DomainError,
@@ -30,6 +31,7 @@ from abelsweep import (
     series_compose,
     solve_truncated,
 )
+from abelsweep.cli import main
 from abelsweep.scalars import as_fraction
 
 from conftest import small_rationals
@@ -114,6 +116,16 @@ class TestBetaValues:
                     math.comb(n, k) * math.comb(k, m) * F(-1) ** k / (1 - b**k) for k in range(m, n + 1)
                 )
                 assert beta_direct(p, n, m) == paper / s**m
+
+    def test_one_p_n_per_solution_polynomial(self, monkeypatch, capsys):
+        # beta_polynomial and affine --method direct read every m off one log_poly(b, n)
+        degrees, build = [], abelsweep.affine.log_poly
+        monkeypatch.setattr(abelsweep.affine, "log_poly", lambda b, n: degrees.append(n) or build(b, n))
+        beta_polynomial(AffineParams(F(1, 3), 1), 12)
+        assert degrees == [12]
+        assert main(["affine", "--b", "1/3", "--s", "1", "--n", "12", "--method", "direct"]) == 0
+        assert degrees == [12, 12]
+        assert len(capsys.readouterr().out.splitlines()) == 13
 
     @pytest.mark.parametrize("b", BASES)
     @pytest.mark.parametrize("s", SHIFTS)

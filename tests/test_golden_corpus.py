@@ -5,8 +5,6 @@ bytes regenerates it and lists the moved entries in CHANGES.md.
 """
 
 import json
-import pathlib
-import re
 
 import make_golden_corpus
 import pytest
@@ -24,20 +22,13 @@ def test_corpus_lists_every_candidate_in_order():
     assert [e["argv"] for e in ENTRIES] == candidates()
 
 
-def readme_commands() -> list[str]:
-    """The argv of every command in README's example block and acceptance table."""
-    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"^```\n(abelsweep .*?)^```$", readme, re.M | re.S).group(1)
-    commands = [line.split("#")[0] for line in block.splitlines()]
-    table = readme.split("## Reproducing the acceptance tables", 1)[1]
-    commands += re.findall(r"`(abelsweep [^`]*)`", table)
-    return [" ".join(command.split()[1:]) for command in commands]
-
-
-def test_readme_commands_are_candidates():
-    commands = readme_commands()
-    assert len(commands) == 19
-    assert [c for c in commands if c not in candidates()] == []
+def test_a_readme_without_its_commands_ends_with_one_error_line(tmp_path, monkeypatch):
+    readme = tmp_path / "README.md"
+    readme.write_text("# abelsweep\n\n## Reproducing the acceptance tables\n", encoding="utf-8")
+    monkeypatch.setattr(make_golden_corpus, "README", readme)
+    with pytest.raises(SystemExit) as exit_info:
+        make_golden_corpus.main([])
+    assert exit_info.value.code == f"error: {readme} has no abelsweep example block or no acceptance table"
 
 
 def test_regeneration_reports_every_difference_and_writes_the_corpus(tmp_path, monkeypatch, capsys):
