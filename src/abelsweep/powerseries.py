@@ -48,12 +48,16 @@ class TruncatedSeries:
 def from_json_dict(data: dict, cfg: PrecisionConfig) -> TruncatedSeries:
     """Read the series file format: {"coeffs": [...]}, optionally with "center": 0.
 
-    Values may be JSON numbers or strings holding decimal or "p/q" literals;
-    they are converted into ``cfg``'s scalar mode. A "center" whose exact
-    value is not 0 raises ValueError: series are developed at 0.
+    "coeffs" is an array of JSON numbers or strings holding decimal or "p/q"
+    literals, converted into ``cfg``'s scalar mode; a boolean is not a
+    number. A "center" whose exact value is not 0 raises ValueError: series
+    are developed at 0.
     """
     try:
-        coeffs = tuple(cfg.scalar(c) for c in data["coeffs"])
+        raw = data["coeffs"]
+        if not isinstance(raw, list):
+            raise ValueError("coeffs must be an array of numbers or strings")
+        coeffs = tuple(cfg.scalar(c) for c in raw)
         center = data.get("center", 0)
         if as_fraction(center) != 0:
             raise ValueError(f"center must be 0, got {center!r}")

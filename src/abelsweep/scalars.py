@@ -112,14 +112,15 @@ def as_fraction(x) -> Fraction:
 
     Accepts "p/q", decimal or integer strings, ints, floats, Fractions and
     mpfs; floats and mpfs convert to their binary value, losslessly.
-    Non-finite values, zero denominators and other types raise ValueError.
+    Non-finite values, zero denominators and other types, bools among them,
+    raise ValueError.
     """
     if isinstance(x, Fraction):
         return x
     try:
         if isinstance(x, str):
             return Fraction(x.strip())
-        if isinstance(x, (int, float)):
+        if isinstance(x, (int, float)) and not isinstance(x, bool):
             return Fraction(x)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot convert {x!r} to a Fraction") from exc

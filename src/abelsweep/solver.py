@@ -26,7 +26,7 @@ import mpmath
 from .carleman import AbelSystem, abel_system, check_truncation_sizes
 from .errors import SingularSystemError
 from .powerseries import TruncatedSeries, pad, series_compose
-from .scalars import PrecisionConfig, Scalar, as_fraction, dot_sub, sign
+from .scalars import PrecisionConfig, Scalar, as_fraction, dot_sub
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +182,7 @@ class StabilizationConfig:
     """Thresholds turning per-coefficient trajectories into verdicts.
 
     A coefficient stabilizes when its last ``window`` consecutive steps all
-    move by at most tol_abs + tol_rel*|last value|; it oscillates when those
-    steps alternate sign with non-decreasing magnitude.
+    move by at most tol_abs + tol_rel*|last value|, and drifts otherwise.
     """
 
     tol_abs: float = 1e-9
@@ -201,7 +200,7 @@ class StabilizationConfig:
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str  # "stabilized" | "drifting" | "oscillating" | "singular-at"
+    kind: str  # "stabilized" | "drifting" | "singular-at"
     limit: Scalar | None = None
     last_delta: Scalar | None = None
     singular_Ns: tuple = ()
@@ -227,7 +226,10 @@ class SweepReport:
 
 
 def classify_trajectory(values: Sequence, stab: StabilizationConfig) -> Verdict:
-    """Apply the stabilization rules to one coefficient's value sequence."""
+    """Stabilized or drifting: the stabilization rule applied to one coefficient's values.
+
+    Fewer than window + 1 values is drifting: the rule needs window steps.
+    """
     w = stab.window
     if len(values) < w + 1:
         return Verdict("drifting")
@@ -240,13 +242,6 @@ def classify_trajectory(values: Sequence, stab: StabilizationConfig) -> Verdict:
         tol = stab.tol_abs + stab.tol_rel * abs(v)
     if all(abs(d) <= tol for d in deltas):
         return Verdict("stabilized", limit=v, last_delta=abs(deltas[-1]))
-    alternating = all(
-        sign(deltas[i]) != 0 and sign(deltas[i + 1]) == -sign(deltas[i])
-        for i in range(w - 1)
-    )
-    growing = all(abs(deltas[i + 1]) >= abs(deltas[i]) for i in range(w - 1))
-    if w >= 2 and alternating and growing:
-        return Verdict("oscillating")
     return Verdict("drifting")
 
 

@@ -102,7 +102,7 @@ def test_c03_log_convergence_at_desk_scale():
     )
     assert elapsed < 120
     assert not bound_failures, f"1e-3 bound failed: {bound_failures}"
-    # The error is log-periodically oscillating in n for b=1/3, so the
+    # The error oscillates log-periodically in n for b=1/3, so the
     # n=400 error genuinely exceeds the n=100 error at some x; asserted
     # as stated regardless.
     assert not mono_failures, f"error not monotone between n=100 and n=400: {mono_failures}"

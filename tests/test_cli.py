@@ -202,12 +202,27 @@ class TestSweep:
         assert set(doc["coefficients"]) == {"1", "2", "3", "4"}
         # index 3 only exists for N=4
         assert len(doc["coefficients"]["3"]["values"]) == 1
-        assert doc["coefficients"]["1"]["verdict"]["kind"] in (
-            "stabilized",
-            "drifting",
-            "oscillating",
-        )
+        assert doc["coefficients"]["1"]["verdict"]["kind"] in ("stabilized", "drifting")
         assert doc["config"]["mode"] == "exact"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # coefficients 15 and 17 alternate in sign with steps that grow
+            # over the last window: the window's view, not a limit, so drifting
+            ("explore-exp --N-max 24", {"15": "drifting", "17": "drifting"}),
+            ("sweep --b 9/10 --s 1 --Ns 1:24", {"1": "stabilized", "24": "drifting"}),
+        ],
+    )
+    def test_verdict_kinds_agree_in_every_precision(self, capsys, argv, want):
+        kinds = {}
+        for precision in ("exact", "bits:256", "bits:64", "machine"):
+            code, out, _ = run(capsys, *argv.split(), "--precision", precision)
+            assert code == 0
+            coefficients = json.loads(out)["coefficients"]
+            kinds[precision] = {n: c["verdict"]["kind"] for n, c in coefficients.items()}
+        assert all(k == kinds["exact"] for k in kinds.values())
+        assert {n: kinds["exact"][n] for n in want} == want
 
     def test_csv_long_format(self, capsys):
         code, out, _ = run(

@@ -10,6 +10,7 @@ import contextlib
 import io
 import math
 import pathlib
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -24,9 +25,11 @@ from abelsweep.affine import (
     eval_log_poly,
     log_poly,
     reference_log,
+    s_invariance_gap,
 )
 from abelsweep.cli import main
 from abelsweep.scalars import PrecisionConfig
+from abelsweep.solver import StabilizationConfig
 
 DOCS = {
     "README": (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
@@ -102,3 +105,40 @@ def test_iterate_examples_print_what_readme_states(argv, text):
     header, row = out.getvalue().splitlines()
     assert header == "t,z,value" and row.split(",")[2] == text
     assert text in DOCS["README"], f"README no longer states {text}"
+
+
+def test_verdict_defaults_are_the_stabilization_config():
+    # README's verdict paragraph states the default of each stabilization flag
+    readme = " ".join(DOCS["README"].split())
+    stab = StabilizationConfig()
+    flags = (("window", stab.window), ("tol-abs", stab.tol_abs), ("tol-rel", stab.tol_rel))
+    for flag, value in flags:
+        stated = re.findall(rf"`--{flag}` \(default (\S+?)\)", readme)
+        assert stated and all(float(text) == value for text in stated), flag
+
+
+@pytest.mark.parametrize("b", [F(1, 2), F(2), F(1, 3), F(-2), F(3, 2)])
+def test_log_poly_is_an_abel_function_up_to_a_power(b):
+    # P_n(b*x) - P_n(x) - 1 = -(1-x)**n, exactly
+    assert "`P_n(b*x) - P_n(x) - 1 = -(1-x)**n`" in " ".join(DOCS["README"].split())
+    exact = PrecisionConfig("exact")
+    for n in (1, 2, 5, 12):
+        P = log_poly(b, n)
+        for x in (F(0), F(1, 3), F(-2, 5), F(7, 4)):
+            gap = eval_log_poly(P, b * x, exact) - eval_log_poly(P, x, exact)
+            assert gap - 1 == -((1 - x) ** n)
+
+
+@pytest.mark.parametrize(
+    "s2, n, text", [(3, 200, "4.0e-6"), (3, 1000, "4.3e-6"), (2, 200, "4.1e-20")]
+)
+def test_invariance_holds_only_on_the_lattice(s2, n, text):
+    # README: deviation of invariance --b 1/2 --s1 1 at bits:64 over criterion 6's points;
+    # s2/s1 = 3 is off the lattice 2**k and keeps a floor between 1e-6 and 1e-5
+    xs = [F(x) for x in "0.2,0.27,0.35,0.43,0.51,0.59,0.66,0.74,0.82,0.9".split(",")]
+    p1, p2 = AffineParams(F(1, 2), F(1)), AffineParams(F(1, 2), F(s2))
+    report = s_invariance_gap(p1, p2, n, xs, PrecisionConfig("bigfloat", bits=64))
+    deviation = float(report.deviation)
+    if s2 == 3:
+        assert 1e-6 < deviation < 1e-5
+    assert_stated(deviation, text, ("README",))

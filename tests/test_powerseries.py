@@ -41,7 +41,7 @@ class TestConstruction:
         for extra in ({}, {"center": 0}, {"center": "0/5"}, {"center": 0.0}):
             assert from_json_dict({"coeffs": [1, "1/3", "-2"], **extra}, cfg) == want
 
-    @pytest.mark.parametrize("center", [1, "1/3", -0.5, "1e-400", "zebra", None])
+    @pytest.mark.parametrize("center", [1, "1/3", -0.5, "1e-400", "zebra", None, True, False])
     def test_json_rejects_a_center_other_than_zero(self, center):
         # series are developed at 0; a nonzero center is refused even where
         # the float modes would round it to 0
@@ -49,9 +49,12 @@ class TestConstruction:
             from_json_dict({"center": center, "coeffs": [1, 2]}, PrecisionConfig("machine"))
         assert "\n" not in str(info.value)
 
-    def test_json_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            from_json_dict({"coeffs": ["not-a-number"]}, PrecisionConfig("exact"))
+    @pytest.mark.parametrize("coeffs", [["not-a-number"], "123", [True, 1, False], {"0": 1}])
+    def test_json_rejects_garbage(self, coeffs):
+        # coeffs is an array of numbers or strings, and a boolean is not a number
+        with pytest.raises(ValueError, match="^bad series object: ") as info:
+            from_json_dict({"coeffs": coeffs}, PrecisionConfig("exact"))
+        assert "\n" not in str(info.value)
 
 
 class TestMul:

@@ -187,9 +187,9 @@ class TestClassification:
         assert verdict.limit == v[-1]
         assert verdict.last_delta == pytest.approx(2e-8)
 
-    def test_oscillating(self):
+    def test_alternating_growing_steps_are_drifting(self):
         v = [0.0, 1.0, -1.5, 2.5, -4.0]
-        assert classify_trajectory(v, self.STAB).kind == "oscillating"
+        assert classify_trajectory(v, self.STAB).kind == "drifting"
 
     def test_drifting(self):
         v = [0.0, 1.0, 2.0, 3.0, 4.0]
