@@ -37,6 +37,7 @@ import statistics
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 from mpmath import mp
@@ -152,14 +153,16 @@ class LogApproxPoly:
     exactly 0, and at b it is exactly 1. Elsewhere its error does not vanish
     as n grows: it oscillates log-periodically in n, up to about 3e-6 on
     [b, 1] for b=1/2 and 5e-4 for b=1/3. ``iterate.poly_abel_context``
-    holds P_n - P_n(0), the same c_k with anchor 0.
+    evaluates P_n - P_n(0), the same c_k with anchor 0.
 
     ``_fixed`` memoizes the coefficients rounded for fixed-point evaluation:
     (G, (floor(c_1*2**G), ..., floor(c_n*2**G))) for the largest fraction-bit
     count G requested so far. Since floor(floor(c*2**G) / 2**(G-F)) equals
     floor(c*2**F), any F <= G reads its coefficients as shifts of these. It
     takes no part in comparison, hashing or repr, and is replaced as one
-    tuple, so concurrent evaluations at worst round twice.
+    tuple, so concurrent evaluations at worst round twice. The iteration
+    context holds no LogApproxPoly: it rounds the same coefficients once,
+    from their integer recurrence, at the largest F of its bracket.
     """
 
     n: int
@@ -178,19 +181,68 @@ def log_poly(b, n: int) -> LogApproxPoly:
     the one Fraction (-1)**k C(n,k) Q**k / (Q**k - P**k), with C(n,k), P**k
     and Q**k carried from k-1 to k.
     """
+    b = _real_base(b, n)
+    return LogApproxPoly(n, b, tuple(Fraction(num, den) for num, den in _coefficient_pairs(b, n)))
+
+
+def _real_base(b, n: int) -> Fraction:
+    """The exact value of b, after ``log_poly``'s refusals of n < 1 and of b**k == 1 for k <= n."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     check_not_root_of_unity(b, n)
-    b = as_fraction(b)
-    num, den = b.numerator, b.denominator
-    coeffs = []
+    return as_fraction(b)
+
+
+def _coefficient_pairs(b: Fraction, n: int):
+    """Yield c_1..c_n of P_n as unreduced integer pairs (num, den) with c_k = num/den.
+
+    For b = P/Q, num = (-1)**k C(n,k) Q**k and den = Q**k - P**k, which is
+    negative for b > 1; C(n,k), P**k and Q**k are carried from k-1 to k.
+    """
     c, pk, qk = 1, 1, 1
     for k in range(1, n + 1):
         c = c * (n - k + 1) // k
-        pk *= num
-        qk *= den
-        coeffs.append(Fraction(c * qk if k % 2 == 0 else -c * qk, qk - pk))
-    return LogApproxPoly(n, b, tuple(coeffs))
+        pk *= b.numerator
+        qk *= b.denominator
+        yield (c * qk if k % 2 == 0 else -c * qk), qk - pk
+
+
+def _rounded(pairs, frac_bits: int) -> tuple:
+    """floor(num * 2**frac_bits / den) for each pair (num, den): the coefficients rounded down.
+
+    The floor of a ratio does not depend on reducing it, and ``//`` floors
+    for a negative den too.
+    """
+    return tuple((num << frac_bits) // den for num, den in pairs)
+
+
+def _frac_bits(n: int, x: tuple, anchor: int, cfg: PrecisionConfig) -> int:
+    """F, the fraction bits of ``eval_log_poly`` for degree n at x = p/q in lowest terms."""
+    p, q = x
+    # log2|x| from the exact integers: float(x) overflows for huge x
+    growth = math.log2(abs(p)) - math.log2(q) if p else 0.0
+    return (
+        (sys.float_info.mant_dig if cfg.mode == "machine" else cfg.bits) + cfg.guard_bits
+        + max(0, math.ceil(n * growth)) + (n + 1).bit_length() + abs(anchor).bit_length()
+    )
+
+
+def _horner(fixed, x: tuple, frac_bits: int, anchor: int, cfg: PrecisionConfig) -> Scalar:
+    """sum_k C_k (x**k - anchor) in fixed point, for C_k = floor(c_k * 2**frac_bits) and x = p/q, q > 0."""
+    p, q = x
+    acc = 0
+    if q & (q - 1):
+        for c in reversed(fixed):
+            acc = (acc + c) * p // q
+    else:  # binary point: floor division by 2**k is a right shift
+        k = q.bit_length() - 1
+        for c in reversed(fixed):
+            acc = (acc + c) * p >> k
+    if anchor:
+        acc -= anchor * sum(fixed)
+    if cfg.mode == "machine":
+        return ratio_to_float(acc, 1 << frac_bits)
+    return mpmath.mpf((acc, -frac_bits), prec=frac_bits)
 
 
 def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
@@ -217,6 +269,9 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
     The rounded coefficients are memoized on the polynomial at the largest F
     requested so far, G; a call at F <= G reads them as C_k >> (G - F),
     which is floor(c_k*2**F) exactly, so the memo never changes a result.
+    ``iterate.poly_abel_context`` runs the same Horner kernel without the
+    memo: it rounds once, from the integer coefficient recurrence, at the
+    largest F of its bracket.
     """
     xq = as_fraction(x)
     if cfg.exact:
@@ -228,35 +283,46 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
             pairs = [u + v for u, v in zip(terms[::2], terms[1::2])]
             terms = pairs + terms[2 * len(pairs):]
         return terms[0]
-    machine = cfg.mode == "machine"
-    p, q = xq.numerator, xq.denominator
-    # log2|x| from the exact integers: float(x) overflows for huge x
-    growth = math.log2(abs(p)) - math.log2(q) if p else 0.0
-    frac_bits = (
-        (sys.float_info.mant_dig if machine else cfg.bits) + cfg.guard_bits
-        + max(0, math.ceil(pL.n * growth)) + (pL.n + 1).bit_length()
-        + abs(pL.anchor).bit_length()
-    )
-    fixed_bits, fixed = pL._fixed
-    if fixed_bits < frac_bits:
-        fixed_bits, fixed = frac_bits, tuple(
-            (c.numerator << frac_bits) // c.denominator for c in map(as_fraction, pL.coeffs)
-        )
-        object.__setattr__(pL, "_fixed", (fixed_bits, fixed))
-    shift = fixed_bits - frac_bits
-    acc = 0
-    if q & (q - 1):
-        for c in reversed(fixed):
-            acc = (acc + (c >> shift)) * p // q
-    else:  # binary point: floor division by 2**k is a right shift
-        k = q.bit_length() - 1
-        for c in reversed(fixed):
-            acc = (acc + (c >> shift)) * p >> k
-    if pL.anchor:
-        acc -= pL.anchor * sum(c >> shift for c in fixed)
-    if machine:
-        return ratio_to_float(acc, 1 << frac_bits)
-    return mpmath.mpf((acc, -frac_bits), prec=frac_bits)
+    x = xq.as_integer_ratio()
+    frac_bits = _frac_bits(pL.n, x, pL.anchor, cfg)
+    scale, fixed = pL._fixed
+    if scale < frac_bits:
+        pairs = (as_fraction(c).as_integer_ratio() for c in pL.coeffs)
+        scale, fixed = frac_bits, _rounded(pairs, frac_bits)
+        object.__setattr__(pL, "_fixed", (scale, fixed))
+    return _horner([c >> (scale - frac_bits) for c in fixed], x, frac_bits, pL.anchor, cfg)
+
+
+def _anchorless_evaluator(b, n: int, cfg: PrecisionConfig, xs) -> Callable[[tuple], Scalar]:
+    """x -> sum_k c_k x**k = P_n(x) - P_n(0) in cfg's float mode, as ``eval_log_poly`` gives it.
+
+    A point x is a pair (p, q) of integers in lowest terms with q > 0.
+    Refuses what ``log_poly`` refuses, in its words, but builds no Fraction:
+    the coefficients are rounded once from ``_coefficient_pairs``, at the
+    largest F that a point of ``xs`` needs. The F of a point grows with |x|,
+    so that scale serves every point between two points of xs; a point
+    beyond them is rounded again at its own F, which is not kept. The
+    coefficients shifted down to the last F used are kept as one (F, list)
+    pair, replaced whole: the points of one root search converge, so most
+    of them share the F of the point before.
+    """
+    b = _real_base(b, n)
+    scale = max(_frac_bits(n, x, 0, cfg) for x in xs)
+    fixed = _rounded(_coefficient_pairs(b, n), scale)
+    last = (scale, fixed)
+
+    def evaluate(x: tuple) -> Scalar:
+        nonlocal last
+        frac_bits = _frac_bits(n, x, 0, cfg)
+        if frac_bits > scale:
+            return _horner(_rounded(_coefficient_pairs(b, n), frac_bits), x, frac_bits, 0, cfg)
+        last_bits, coeffs = last
+        if last_bits != frac_bits:
+            coeffs = [c >> (scale - frac_bits) for c in fixed]
+            last = (frac_bits, coeffs)
+        return _horner(coeffs, x, frac_bits, 0, cfg)
+
+    return evaluate
 
 
 def reference_log(b, x, bits: int = 256):

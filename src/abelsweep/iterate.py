@@ -23,12 +23,13 @@ g(x) = b*(x+s) - s. At b = 1/2, s = 1, t = 1, z = 0.3 they give 0.15 and -0.35.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from typing import Callable
 
 import mpmath
 
-from .affine import AffineParams, eval_log_poly, log_poly
+from .affine import AffineParams, _anchorless_evaluator
 from .errors import BracketError, DomainError
 from .scalars import PrecisionConfig, Scalar, as_fraction, check_log_domain, sign
 
@@ -104,17 +105,27 @@ def poly_abel_context(
     which leaves the iterated function unchanged and spares each evaluation
     P_n's constant and its extra bit. Its point z/s + 1 is
     computed exactly, from the exact values of z and s, and evaluated by
-    eval_log_poly's fixed-point Horner: its error stays below
-    2**(1 - bits - guard_bits) at every degree, and the working precision
-    exceeds bits + guard_bits + log2(n+1) only where |z/s + 1| > 1.
+    eval_log_poly's fixed-point Horner, with the same result to the bit: its
+    error stays below 2**(1 - bits - guard_bits) at every degree, and the
+    working precision exceeds bits + guard_bits + log2(n+1) only where
+    |z/s + 1| > 1. The context builds no ``log_poly``: it refuses n, b the
+    same way, and rounds P_n once, from the integer coefficient recurrence,
+    at the precision that the larger |z/s + 1| of the two bracket ends
+    needs. Every secant point lies between the ends, so only a query z
+    beyond them rounds again, for that one evaluation.
     """
-    poly = replace(log_poly(p.b, n), anchor=0)
-    s = as_fraction(p.s)
+    S, T = as_fraction(p.s).as_integer_ratio()
 
-    def abel(z):
-        return eval_log_poly(poly, as_fraction(z) / s + 1, cfg)
+    def point(z) -> tuple:
+        # z/s + 1 = (a*T + c*S)/(c*S) for z = a/c and s = S/T, in lowest terms
+        a, c = as_fraction(z).as_integer_ratio()
+        num, den = a * T + c * S, c * S
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return num // g, den // g
 
-    return IterationContext(abel, bracket, tol, cfg=cfg)
+    lo, hi = bracket
+    evaluate = _anchorless_evaluator(p.b, n, cfg, (point(lo), point(hi)))
+    return IterationContext(lambda z: evaluate(point(z)), bracket, tol, cfg=cfg)
 
 
 def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
@@ -150,15 +161,20 @@ def fractional_iterate(ctx: IterationContext, t, z) -> Scalar:
         if sign(flo) == sign(fhi):
             ends = ctx._ends
             raise BracketError(lo, hi, t, z, (ends[0] - az, ends[1] - az), ends[1] - ends[0])
+        # flo keeps its sign: a step moves lo only to a point of that sign,
+        # and the Pegasus factor fhi/(fhi + fmid) is positive
+        same_as_lo = operator.gt if flo > 0 else operator.lt
+        # mpf residuals meet the tolerance as an mpf, converted once and exactly
+        tol = mpmath.mpmathify(ctx.tol) if isinstance(flo, mpmath.mpf) else ctx.tol
         kept = 0  # -1: lo was kept by the last step, 1: hi was
         for _ in range(_MAX_STEPS):
             mid = lo + (hi - lo) * float(flo / (flo - fhi))
             if not lo < mid < hi:  # resolution exhausted
                 break
             fmid = ctx.abel(mid) - target
-            if abs(fmid) <= ctx.tol:
+            if abs(fmid) <= tol:
                 return mid
-            if sign(fmid) == sign(flo):
+            if same_as_lo(fmid, 0):
                 if kept == 1:
                     fhi = fhi * flo / (flo + fmid)
                 lo, flo = mid, fmid

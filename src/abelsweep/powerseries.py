@@ -48,15 +48,17 @@ class TruncatedSeries:
 def from_json_dict(data: dict, cfg: PrecisionConfig) -> TruncatedSeries:
     """Read the series file format: {"coeffs": [...]}, optionally with "center": 0.
 
-    "coeffs" is an array of JSON numbers or strings holding decimal or "p/q"
-    literals, converted into ``cfg``'s scalar mode; a boolean is not a
-    number. A "center" whose exact value is not 0 raises ValueError: series
-    are developed at 0.
+    "coeffs" is a nonempty array of JSON numbers or strings holding decimal
+    or "p/q" literals, converted into ``cfg``'s scalar mode; a boolean is not
+    a number. A "center" whose exact value is not 0 raises ValueError: series
+    are developed at 0, and so does a top level that is not an object.
     """
     try:
+        if not isinstance(data, dict):
+            raise ValueError('a series file holds one object, {"coeffs": [...]}')
         raw = data["coeffs"]
-        if not isinstance(raw, list):
-            raise ValueError("coeffs must be an array of numbers or strings")
+        if not isinstance(raw, list) or not raw:
+            raise ValueError("coeffs must be a nonempty array of numbers or strings")
         coeffs = tuple(cfg.scalar(c) for c in raw)
         center = data.get("center", 0)
         if as_fraction(center) != 0:

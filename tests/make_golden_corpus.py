@@ -35,7 +35,9 @@ CORPUS = pathlib.Path(__file__).with_name("golden_corpus.json")
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
 #: commands run once as given: exact-mode outputs whose bytes no change may
-#: move, and bigfloat sweeps with stabilized verdicts (limit and last_delta)
+#: move, bigfloat sweeps with stabilized verdicts (limit and last_delta), and
+#: iterates at b > 1, at s < 0 and at a point whose fixed-point scale exceeds
+#: the bracket's
 PINNED = (
     "sweep --b 2 --s 1 --Ns 1:16 --precision exact",
     "affine --b 1/3 --s -1 --n 24 --method all --precision exact",
@@ -48,6 +50,9 @@ PINNED = (
     "sweep --b 3/2 --s 1/3 --Ns 1:32 --precision exact",
     "explore-exp --N-max 32 --s -3/8",
     "explore-exp --N-max 36 --s 1/3 --precision machine",
+    "iterate --b 2 --s 1 --n 60 --t 1/2 --z 0.3 --bracket=-0.9:0.9",
+    "iterate --b 1/3 --s -1 --n 80 --t 1 --z 0.3 --bracket=-0.9:0.9 --precision machine",
+    "iterate --b 1/2 --s 1 --n 200 --t 1 --z 0.98 --bracket=-0.95:0.95",
 )
 PRECISIONS = ("", "--precision exact", "--precision machine", "--precision bits:64")
 FORMATS = ("", "--format csv", "--format json")

@@ -10,6 +10,7 @@ from abelsweep import (
     DomainError,
     IterationContext,
     PrecisionConfig,
+    RootOfUnityError,
     eval_log_poly,
     exact_log_context,
     fractional_iterate,
@@ -174,6 +175,53 @@ class TestPolynomialContext:
             poly_abel_context(
                 AffineParams(F(1, 2), F(1)), 20, PrecisionConfig("exact"), bracket=(-0.9, 0.9)
             )
+
+    def test_query_beyond_the_bracket_scale(self, halving):
+        # z = 49/50 is the point x = 1.98, which needs more fixed-point bits
+        # than the bracket end's 1.95
+        assert fractional_iterate(halving, 1, F(49, 50)) == -0.02199584342721108
+
+    def test_query_far_beyond_the_bracket_reports_its_reach(self, halving):
+        # abel(3/2) is P_n(5/2) - P_n(0), about 1.65e35; coefficients rounded
+        # at the bracket's scale gave a reach of [-9.9, -4.7] here
+        with pytest.raises(BracketError) as err:
+            fractional_iterate(halving, 1, F(3, 2))
+        assert str(err.value) == (
+            "no sign change on bracket [-0.95, 0.95] for t=1 at z=3/2: from z the bracket"
+            " reaches t in [-1.65292e+35, -1.65292e+35], an interval of width 5.28536"
+        )
+
+    @pytest.mark.parametrize("cfg", [BIG, PrecisionConfig("bigfloat", bits=64), MACHINE],
+                             ids=["bits:128", "bits:64", "machine"])
+    @pytest.mark.parametrize("s", [F(1), F(-1), F(1, 3), F(5, 2)])
+    @pytest.mark.parametrize("b", [F(1, 2), F(1, 3), F(2), F(3, 2), F(-1, 2), F(-2), F(9, 10)])
+    def test_evaluator_is_eval_log_poly_to_the_bit(self, b, s, cfg):
+        # the context rounds P_n once at its bracket's scale; every value
+        # equals eval_log_poly's on the anchor-0 polynomial, at both ends,
+        # inside, and beyond either end (beyond the far one for each sign of s)
+        n = 40
+        ctx = poly_abel_context(AffineParams(b, s), n, cfg, bracket=(-0.9, 0.9))
+        poly = dataclasses.replace(log_poly(b, n), anchor=0)
+        for z in (-0.9, 0.9, F(-1, 3), 0.0, 0.45, 1.5, -1.5, F(7, 3)):
+            got, want = ctx.abel(z), eval_log_poly(poly, F(z) / s + 1, cfg)
+            assert type(got) is type(want)
+            assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
+
+    @pytest.mark.parametrize("b,n,error,message", [
+        (F(1, 2), 0, ValueError, "degree must be at least 1"),
+        (F(1), 3, RootOfUnityError, "base 1 is a root of unity: b**1 == 1"),
+        (F(-1), 2, RootOfUnityError, "base -1 is a root of unity: b**2 == 1"),
+        (1 + 1j, 3, ValueError, "a root-of-unity check needs a real base, got (1+1j)"),
+        (math.inf, 3, ValueError, "cannot convert inf to a Fraction"),
+        (math.nan, 3, ValueError, "cannot convert NaN to integer ratio"),
+    ])
+    def test_refuses_what_log_poly_refuses(self, b, n, error, message):
+        # the context builds no log_poly, but refuses its inputs in its words
+        for build in (lambda: log_poly(b, n),
+                      lambda: poly_abel_context(AffineParams(b, F(1)), n, BIG, bracket=(-0.9, 0.9))):
+            with pytest.raises(error) as info:
+                build()
+            assert type(info.value) is error and str(info.value) == message
 
     @pytest.mark.parametrize("s", [F(10) ** 400, F(1, 10**400)])
     def test_point_is_exact_for_any_shift(self, s):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from abelsweep import (
     series_compose,
     series_mul,
 )
+from abelsweep.cli import main
 
 from conftest import rational_coeff_lists
 
@@ -55,6 +57,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^bad series object: ") as info:
             from_json_dict({"coeffs": coeffs}, PrecisionConfig("exact"))
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("text,words", [
+        ("[1, 2]", "a series file holds one object"),
+        ('"x"', "a series file holds one object"),
+        ('{"coeffs": []}', "coeffs must be a nonempty array"),
+    ])
+    def test_json_rejects_what_is_not_a_series_object(self, tmp_path, capsys, text, words):
+        # a list or a string failed with Python's indexing message, and an
+        # empty array without the prefix
+        with pytest.raises(ValueError, match=f"^bad series object: {words}"):
+            from_json_dict(json.loads(text), PrecisionConfig("exact"))
+        series = tmp_path / "s.json"
+        series.write_text(text)
+        assert main(["solve", "--series", str(series), "--N", "2", "--precision", "exact"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad series object: {words}") and err.count("\n") == 1
 
 
 class TestMul:
