@@ -19,6 +19,7 @@ from .affine import (
     binom_tail,
     eval_log_poly,
     log_poly,
+    log_poly_evaluator,
     onpow_identity,
     reference_log,
     remainder,
@@ -95,6 +96,7 @@ __all__ = [
     "from_json_dict",
     "intuitive_sweep",
     "log_poly",
+    "log_poly_evaluator",
     "onpow_identity",
     "pad",
     "poly_abel_context",

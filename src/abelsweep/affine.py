@@ -27,7 +27,8 @@ Bigfloat and machine evaluation of P_n run Horner's rule in fixed point on
 Python integers, where its coefficients of size up to about 2**n cancel
 exactly and only the per-step truncations add up: the working precision
 grows with log2(n), and with n*log2|x| for |x| > 1, but not with the degree
-itself.
+itself. ``log_poly_evaluator`` takes all its points first and rounds P_n's
+coefficients once, from their integer recurrence, with no Fraction.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -153,23 +154,15 @@ class LogApproxPoly:
     exactly 0, and at b it is exactly 1. Elsewhere its error does not vanish
     as n grows: it oscillates log-periodically in n, up to about 3e-6 on
     [b, 1] for b=1/2 and 5e-4 for b=1/3. ``iterate.poly_abel_context``
-    evaluates P_n - P_n(0), the same c_k with anchor 0.
-
-    ``_fixed`` memoizes the coefficients rounded for fixed-point evaluation:
-    (G, (floor(c_1*2**G), ..., floor(c_n*2**G))) for the largest fraction-bit
-    count G requested so far. Since floor(floor(c*2**G) / 2**(G-F)) equals
-    floor(c*2**F), any F <= G reads its coefficients as shifts of these. It
-    takes no part in comparison, hashing or repr, and is replaced as one
-    tuple, so concurrent evaluations at worst round twice. The iteration
-    context holds no LogApproxPoly: it rounds the same coefficients once,
-    from their integer recurrence, at the largest F of its bracket.
+    evaluates P_n - P_n(0), the same c_k with anchor 0. The float commands
+    build no LogApproxPoly: ``log_poly_evaluator`` rounds the c_k from
+    their integer recurrence.
     """
 
     n: int
     b: Scalar
     coeffs: tuple  # c_1..c_n
     anchor: int = 1
-    _fixed: tuple = field(default=(-1, ()), init=False, compare=False, hash=False, repr=False)
 
 
 def log_poly(b, n: int) -> LogApproxPoly:
@@ -266,12 +259,10 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
     takes bits = 53 and rounds the sum once to the nearest float; a sum
     outside the float range raises ValueError.
 
-    The rounded coefficients are memoized on the polynomial at the largest F
-    requested so far, G; a call at F <= G reads them as C_k >> (G - F),
-    which is floor(c_k*2**F) exactly, so the memo never changes a result.
-    ``iterate.poly_abel_context`` runs the same Horner kernel without the
-    memo: it rounds once, from the integer coefficient recurrence, at the
-    largest F of its bracket.
+    A float call rounds all n coefficients, which costs several Horner
+    evaluations: at bits:128 and b=1/2, about 0.4 ms a point at n=400 and
+    10 ms at n=2000 on a 2-core x86 host. To evaluate P_n at many points,
+    take ``log_poly_evaluator``, which rounds once for all of them.
     """
     xq = as_fraction(x)
     if cfg.exact:
@@ -285,16 +276,27 @@ def eval_log_poly(pL: LogApproxPoly, x, cfg: PrecisionConfig) -> Scalar:
         return terms[0]
     x = xq.as_integer_ratio()
     frac_bits = _frac_bits(pL.n, x, pL.anchor, cfg)
-    scale, fixed = pL._fixed
-    if scale < frac_bits:
-        pairs = (as_fraction(c).as_integer_ratio() for c in pL.coeffs)
-        scale, fixed = frac_bits, _rounded(pairs, frac_bits)
-        object.__setattr__(pL, "_fixed", (scale, fixed))
-    return _horner([c >> (scale - frac_bits) for c in fixed], x, frac_bits, pL.anchor, cfg)
+    fixed = _rounded((as_fraction(c).as_integer_ratio() for c in pL.coeffs), frac_bits)
+    return _horner(fixed, x, frac_bits, pL.anchor, cfg)
 
 
-def _anchorless_evaluator(b, n: int, cfg: PrecisionConfig, xs) -> Callable[[tuple], Scalar]:
-    """x -> sum_k c_k x**k = P_n(x) - P_n(0) in cfg's float mode, as ``eval_log_poly`` gives it.
+def log_poly_evaluator(b, n: int, xs, cfg: PrecisionConfig) -> Callable[[Scalar], Scalar]:
+    """x -> P_n(x) for the points xs, equal at every x to ``eval_log_poly(log_poly(b, n), x, cfg)``.
+
+    Refuses what ``log_poly`` refuses, when it is built. Exact mode builds
+    ``log_poly(b, n)`` once. The float modes build no Fraction coefficient:
+    they round P_n once, from its integer recurrence, at the largest
+    fixed-point scale that a point of xs needs.
+    """
+    if cfg.exact:
+        poly = log_poly(b, n)
+        return lambda x: eval_log_poly(poly, x, cfg)
+    evaluate = _evaluator(b, n, 1, cfg, [as_fraction(x).as_integer_ratio() for x in xs])
+    return lambda x: evaluate(as_fraction(x).as_integer_ratio())
+
+
+def _evaluator(b, n: int, anchor: int, cfg: PrecisionConfig, xs) -> Callable[[tuple], Scalar]:
+    """x -> sum_k c_k (x**k - anchor) in cfg's float mode, as ``eval_log_poly`` gives it.
 
     A point x is a pair (p, q) of integers in lowest terms with q > 0.
     Refuses what ``log_poly`` refuses, in its words, but builds no Fraction:
@@ -307,20 +309,20 @@ def _anchorless_evaluator(b, n: int, cfg: PrecisionConfig, xs) -> Callable[[tupl
     of them share the F of the point before.
     """
     b = _real_base(b, n)
-    scale = max(_frac_bits(n, x, 0, cfg) for x in xs)
+    scale = max((_frac_bits(n, x, anchor, cfg) for x in xs), default=0)
     fixed = _rounded(_coefficient_pairs(b, n), scale)
     last = (scale, fixed)
 
     def evaluate(x: tuple) -> Scalar:
         nonlocal last
-        frac_bits = _frac_bits(n, x, 0, cfg)
+        frac_bits = _frac_bits(n, x, anchor, cfg)
         if frac_bits > scale:
-            return _horner(_rounded(_coefficient_pairs(b, n), frac_bits), x, frac_bits, 0, cfg)
+            return _horner(_rounded(_coefficient_pairs(b, n), frac_bits), x, frac_bits, anchor, cfg)
         last_bits, coeffs = last
         if last_bits != frac_bits:
             coeffs = [c >> (scale - frac_bits) for c in fixed]
             last = (frac_bits, coeffs)
-        return _horner(coeffs, x, frac_bits, 0, cfg)
+        return _horner(coeffs, x, frac_bits, anchor, cfg)
 
     return evaluate
 
@@ -417,17 +419,16 @@ def s_invariance_gap(
     Evaluates the same degree-n polynomial at x/p2.s and x/p1.s over the
     grid, takes the pointwise difference, and reports the median together
     with the maximum deviation from that median. The points x/s are exact
-    Fractions of the exact x and s; only the evaluations round, in cfg's mode.
+    Fractions of the exact x and s; only the evaluations round, in cfg's mode,
+    by one ``log_poly_evaluator`` over all of them.
     """
     if p1.b != p2.b:
         raise ValueError("both parameter sets must share the base b")
-    poly = log_poly(p1.b, n)
     s1, s2 = as_fraction(p1.s), as_fraction(p2.s)
+    points = [(x / s2, x / s1) for x in map(as_fraction, xs)]
+    poly = log_poly_evaluator(p1.b, n, [y for pair in points for y in pair], cfg)
     with cfg.workprec(n + cfg.guard_bits):
-        gaps = []
-        for x in map(as_fraction, xs):
-            g = eval_log_poly(poly, x / s2, cfg) - eval_log_poly(poly, x / s1, cfg)
-            gaps.append(g)
+        gaps = [poly(u) - poly(v) for u, v in points]
         med = statistics.median(gaps)
         deviation = max(abs(g - med) for g in gaps)
     return GapReport(deviation, med, tuple(xs), tuple(gaps))

@@ -24,8 +24,7 @@ from .affine import (
     affine_series,
     beta_polynomial,
     beta_recurrence,
-    eval_log_poly,
-    log_poly,
+    log_poly_evaluator,
     reference_log,
     s_invariance_gap,
 )
@@ -291,9 +290,9 @@ def _log_table(b: Fraction, degrees: list[int], xs: list[Fraction], cfg: Precisi
     ref_cfg = PrecisionConfig("bigfloat", bits=ref_bits)
     rows = []
     for n in degrees:
-        poly = log_poly(b, n)
+        poly = log_poly_evaluator(b, n, xs, cfg)
         for x in xs:
-            approx = eval_log_poly(poly, x, cfg)
+            approx = poly(x)
             ref = reference_log(b, x, bits=ref_bits)
             err = ref_cfg.scalar(abs(as_fraction(approx) - as_fraction(ref)))
             rows.append(
@@ -337,7 +336,7 @@ def _cmd_invariance(args) -> str:
 
 def _cmd_iterate(args) -> str:
     cfg = args.precision
-    # exact b and s: log_poly must see the rational base, not its rounding
+    # exact b and s: P_n's coefficients come from the rational base, not its rounding
     p = AffineParams(args.b, args.s)
     if args.n is None:
         b, s = _round_literal(cfg, p.b, "--b"), _round_literal(cfg, p.s, "--s")

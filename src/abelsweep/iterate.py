@@ -29,7 +29,7 @@ from typing import Callable
 
 import mpmath
 
-from .affine import AffineParams, _anchorless_evaluator
+from .affine import AffineParams, _evaluator
 from .errors import BracketError, DomainError
 from .scalars import PrecisionConfig, Scalar, as_fraction, check_log_domain, sign
 
@@ -105,7 +105,8 @@ def poly_abel_context(
     which leaves the iterated function unchanged and spares each evaluation
     P_n's constant and its extra bit. Its point z/s + 1 is
     computed exactly, from the exact values of z and s, and evaluated by
-    eval_log_poly's fixed-point Horner, with the same result to the bit: its
+    the evaluator behind ``log_poly_evaluator``, with anchor 0: the same
+    fixed-point Horner as eval_log_poly, with the same result to the bit. Its
     error stays below 2**(1 - bits - guard_bits) at every degree, and the
     working precision exceeds bits + guard_bits + log2(n+1) only where
     |z/s + 1| > 1. The context builds no ``log_poly``: it refuses n, b the
@@ -124,7 +125,7 @@ def poly_abel_context(
         return num // g, den // g
 
     lo, hi = bracket
-    evaluate = _anchorless_evaluator(p.b, n, cfg, (point(lo), point(hi)))
+    evaluate = _evaluator(p.b, n, 0, cfg, (point(lo), point(hi)))
     return IterationContext(lambda z: evaluate(point(z)), bracket, tol, cfg=cfg)
 
 

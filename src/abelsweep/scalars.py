@@ -120,7 +120,8 @@ def as_fraction(x) -> Fraction:
     try:
         if isinstance(x, str):
             return Fraction(x.strip())
-        if isinstance(x, (int, float)) and not isinstance(x, bool):
+        # x == x fails for NaN only, which then takes the closing refusal
+        if isinstance(x, (int, float)) and not isinstance(x, bool) and x == x:
             return Fraction(x)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot convert {x!r} to a Fraction") from exc

@@ -37,7 +37,8 @@ README = pathlib.Path(__file__).parents[1] / "README.md"
 #: commands run once as given: exact-mode outputs whose bytes no change may
 #: move, bigfloat sweeps with stabilized verdicts (limit and last_delta), and
 #: iterates at b > 1, at s < 0 and at a point whose fixed-point scale exceeds
-#: the bracket's
+#: the bracket's, and float P_n tables whose points need several fixed-point
+#: scales in one degree (b > 1, two degrees, s2/s1 not a power of b)
 PINNED = (
     "sweep --b 2 --s 1 --Ns 1:16 --precision exact",
     "affine --b 1/3 --s -1 --n 24 --method all --precision exact",
@@ -53,6 +54,10 @@ PINNED = (
     "iterate --b 2 --s 1 --n 60 --t 1/2 --z 0.3 --bracket=-0.9:0.9",
     "iterate --b 1/3 --s -1 --n 80 --t 1 --z 0.3 --bracket=-0.9:0.9 --precision machine",
     "iterate --b 1/2 --s 1 --n 200 --t 1 --z 0.98 --bracket=-0.95:0.95",
+    "logapprox --b 3/2 --n 120 --xs 0.1,0.5,1.5,2.5",
+    "logapprox --b 1/3 --n 40,300 --xs 0.05,1.9 --precision bits:64",
+    "invariance --b 1/2 --s1 1 --s2 3 --n 200 --xs 0.2,0.5,0.9,1.7",
+    "invariance --b 2 --s1 -1/3 --s2 5/2 --n 60 --xs 0.2,0.5,0.9,4 --precision machine",
 )
 PRECISIONS = ("", "--precision exact", "--precision machine", "--precision bits:64")
 FORMATS = ("", "--format csv", "--format json")

@@ -23,6 +23,7 @@ from abelsweep import (
     binom_tail,
     eval_log_poly,
     log_poly,
+    log_poly_evaluator,
     onpow_identity,
     reference_log,
     remainder,
@@ -283,20 +284,35 @@ class TestLogPoly:
             st.fractions(min_value=-2, max_value=3, max_denominator=64), min_size=2, max_size=8
         ),
     )
-    def test_bigfloat_rounding_memo_is_invisible(self, b, n, xs):
+    def test_batch_equals_one_point_rounding(self, b, n, xs):
         # |x| > 1 raises the fraction bits and |x| <= 1 lowers them, so the
-        # memo is both refilled and read by shifts along the sequence
+        # batch reads shifts of its one rounding in both directions along xs;
+        # no value depends on the evaluations before it
         poly = log_poly(b, n)
-        key = (poly == log_poly(b, n), hash(poly))
-        for x in xs:
-            fresh = eval_log_poly(log_poly(b, n), x, BIG)
-            assert eval_log_poly(poly, x, BIG)._mpf_ == fresh._mpf_
-        assert (poly == log_poly(b, n), hash(poly)) == key
+        for cfg in (BIG, PrecisionConfig("bigfloat", bits=64), MACHINE, EXACT):
+            evaluate = log_poly_evaluator(b, n, xs, cfg)
+            for x in xs:
+                got, want = evaluate(x), eval_log_poly(poly, x, cfg)
+                assert type(got) is type(want)
+                assert getattr(got, "_mpf_", got) == getattr(want, "_mpf_", want)
 
-    def test_rounding_memo_not_in_repr(self):
-        poly = log_poly(F(1, 2), 3)
-        eval_log_poly(poly, F(1, 3), BIG)
-        assert repr(poly) == repr(log_poly(F(1, 2), 3))
+    @pytest.mark.parametrize("argv,built,rounded", [
+        ("logapprox --b 1/2 --n 100,400 --xs 0.1,0.5,0.9", [], 2),
+        ("invariance --b 1/2 --s1 1 --s2 3 --n 200 --xs 0.2,0.5,0.9,1.7", [], 1),
+        ("logapprox --b 1/2 --n 100,400 --xs 0.1,0.5,0.9 --precision exact", [100, 400], 0),
+        ("invariance --b 1/2 --s1 1 --s2 3 --n 200 --xs 0.2,0.5,0.9,1.7 --precision exact", [200], 0),
+    ])
+    def test_float_tables_round_once_per_degree(self, monkeypatch, capsys, argv, built, rounded):
+        # float modes round P_n once for all the points of a degree and build
+        # no Fraction coefficient; exact mode builds one P_n per degree
+        degrees, build = [], abelsweep.affine.log_poly
+        monkeypatch.setattr(abelsweep.affine, "log_poly", lambda b, n: degrees.append(n) or build(b, n))
+        scales, rounding = [], abelsweep.affine._rounded
+        monkeypatch.setattr(abelsweep.affine, "_rounded",
+                            lambda pairs, bits: scales.append(bits) or rounding(pairs, bits))
+        assert main(argv.split()) == 0
+        assert (degrees, len(scales)) == (built, rounded)
+        capsys.readouterr()
 
     def test_bigfloat_huge_point(self):
         # the point's size is read from its integers; float(x) would overflow

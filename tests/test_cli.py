@@ -671,6 +671,13 @@ class TestExploratory:
         code, _, err = run(capsys, "explore-exp", "--N-max", "5", "--Ns", "1:3")
         assert code == 1 and "exactly one" in err
 
+    def test_domain_error_precedes_later_points(self, capsys):
+        # each point is evaluated next to its reference log, in order: the
+        # domain error at -0.7 comes before 1e400's float-range error
+        assert run(capsys, *"logapprox --b 1/2 --n 5 --xs -0.7,1e400 --precision machine".split()) == (
+            2, "", "domain error: the real logarithm needs x > 0, got x=-0.7\n"
+        )
+
     def test_explore_bgt1_reports_errors(self, capsys):
         code, out, _ = run(capsys, "explore-bgt1", "--b", "2", "--n", "50")
         assert code == 0

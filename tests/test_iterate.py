@@ -15,6 +15,7 @@ from abelsweep import (
     exact_log_context,
     fractional_iterate,
     log_poly,
+    log_poly_evaluator,
     poly_abel_context,
     semigroup_check,
 )
@@ -213,11 +214,13 @@ class TestPolynomialContext:
         (F(-1), 2, RootOfUnityError, "base -1 is a root of unity: b**2 == 1"),
         (1 + 1j, 3, ValueError, "a root-of-unity check needs a real base, got (1+1j)"),
         (math.inf, 3, ValueError, "cannot convert inf to a Fraction"),
-        (math.nan, 3, ValueError, "cannot convert NaN to integer ratio"),
+        (math.nan, 3, ValueError, "cannot convert nan to a Fraction"),
     ])
     def test_refuses_what_log_poly_refuses(self, b, n, error, message):
-        # the context builds no log_poly, but refuses its inputs in its words
+        # the context and the batch evaluator build no log_poly, but refuse
+        # its inputs in its words
         for build in (lambda: log_poly(b, n),
+                      lambda: log_poly_evaluator(b, n, [F(1, 2)], BIG),
                       lambda: poly_abel_context(AffineParams(b, F(1)), n, BIG, bracket=(-0.9, 0.9))):
             with pytest.raises(error) as info:
                 build()

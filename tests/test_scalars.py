@@ -165,6 +165,13 @@ class TestAsFraction:
         with pytest.raises(ValueError):
             as_fraction(x)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf"), mpmath.nan], ids=repr)
+    def test_non_finite_refusal_has_one_wording(self, x):
+        # a float NaN once gave Python's "cannot convert NaN to integer ratio"
+        with pytest.raises(ValueError) as info:
+            as_fraction(x)
+        assert str(info.value) == f"cannot convert {x!r} to a Fraction"
+
     @given(
         st.fractions(max_denominator=10**30).filter(lambda q: abs(q) < 10**40),
         st.sampled_from(["fraction", "float", "mpf", "str"]),
