@@ -360,9 +360,9 @@ class TestReports:
         # constant; with --n it is b*(x+s) - s. Unifying them is a change of output
         for s in ("1", "3", "1/7"):
             code, out, _ = run(capsys, "iterate", "--b", "2", "--s", s, "--t", "1/2", "--z", "1")
-            assert (code, out) == (0, "t,z,value\n1/2,1,1.414213562345499\n")
+            assert (code, out) == (0, "t,z,value\n1/2,1,1.4142135623740613\n")
         code, out, _ = run(capsys, "iterate", "--b", "1/2", "--s", "1", "--t", "1", "--z", "0.3")
-        assert (code, out) == (0, "t,z,value\n1,3/10,0.1499999999975407\n")
+        assert (code, out) == (0, "t,z,value\n1,3/10,0.15000000000472966\n")
 
     @pytest.mark.parametrize(
         "argv",
